@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hana_bench::{staged_sales, Stage};
 use hana_calc::{optimize, CalcGraph, CalcNode, Executor, Expr, Predicate};
 use hana_common::Value;
+use hana_core::IntoGroup;
 use hana_txn::Snapshot;
 use hana_workload::sales::fact_cols;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ fn diamond(table: &Arc<hana_core::UnifiedTable>, shared: bool) -> CalcGraph {
     };
     if shared {
         let s = g.add(CalcNode::TableSource {
-            table: Arc::clone(table).into(),
+            table: Arc::clone(table).into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -40,7 +41,7 @@ fn diamond(table: &Arc<hana_core::UnifiedTable>, shared: bool) -> CalcGraph {
     } else {
         // The same logical plan with the subtree duplicated.
         let s1 = g.add(CalcNode::TableSource {
-            table: Arc::clone(table).into(),
+            table: Arc::clone(table).into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -49,7 +50,7 @@ fn diamond(table: &Arc<hana_core::UnifiedTable>, shared: bool) -> CalcGraph {
             pred: pred.clone(),
         });
         let s2 = g.add(CalcNode::TableSource {
-            table: Arc::clone(table).into(),
+            table: Arc::clone(table).into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });

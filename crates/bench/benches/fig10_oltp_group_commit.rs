@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hana_common::{CommitConfig, TableConfig};
 use hana_core::Database;
-use hana_workload::oltp::DurableOltp;
+use hana_workload::oltp::GroupOltp;
 use hana_workload::{OltpDriver, SalesDataset};
 use std::sync::Arc;
 
@@ -39,10 +39,7 @@ fn bench_group_commit(c: &mut Criterion) {
             };
             let ds = SalesDataset::load(&db, tcfg, ORDERS, 500, 100, 7).unwrap();
             db.start_merge_daemon(std::time::Duration::from_millis(1));
-            let engine = DurableOltp {
-                db: Arc::clone(&db),
-                table: Arc::clone(&ds.sales),
-            };
+            let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
             // Insert-heavy, conflict-free mix: commits dominate and no
             // Zipf-hot-key aborts muddy the commit-path comparison.
             let driver = OltpDriver::new(ORDERS, 500, 100, 0.9).with_mix((85, 0, 15, 0));

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hana_common::{PartitionConfig, TableConfig, Value};
 use hana_core::{ColumnPredicate, Database};
 use hana_txn::{IsolationLevel, Snapshot};
-use hana_workload::oltp::PartitionedOltp;
+use hana_workload::oltp::GroupOltp;
 use hana_workload::sales::fact_cols;
 use hana_workload::{DataGen, OltpDriver, SalesSchema};
 use std::ops::Bound;
@@ -21,7 +21,7 @@ use std::sync::Arc;
 const OPS_PER_THREAD: usize = 200;
 const SCAN_ROWS: i64 = 60_000;
 
-fn partitioned_engine(parts: usize) -> PartitionedOltp {
+fn partitioned_engine(parts: usize) -> GroupOltp {
     let db = Database::in_memory();
     // One logical delta budget, divided across the shards.
     let tcfg = TableConfig {
@@ -37,7 +37,7 @@ fn partitioned_engine(parts: usize) -> PartitionedOltp {
         )
         .unwrap();
     db.start_merge_daemon(std::time::Duration::from_millis(1));
-    PartitionedOltp { db, table }
+    GroupOltp::new(db, table)
 }
 
 fn bench_partitioned_writers(c: &mut Criterion) {

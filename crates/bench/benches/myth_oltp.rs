@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hana_common::TableConfig;
 use hana_core::Database;
 use hana_txn::TxnManager;
-use hana_workload::oltp::{OltpEngine, RowOltp, UnifiedOltp};
+use hana_workload::oltp::{GroupOltp, OltpEngine, RowOltp};
 use hana_workload::sales::load_row_baseline;
 use hana_workload::{DataGen, OltpDriver, SalesDataset};
 use std::sync::Arc;
@@ -35,10 +35,7 @@ fn bench_oltp_mix(c: &mut Criterion) {
         let ds = SalesDataset::load(&db, cfg, ORDERS, 1_000, 200, 7).unwrap();
         ds.settle().unwrap();
         db.start_merge_daemon(Duration::from_millis(1));
-        let engine = UnifiedOltp {
-            table: Arc::clone(&ds.sales),
-            mgr: Arc::clone(db.txn_manager()),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let driver = OltpDriver::new(ORDERS, 1_000, 200, 0.9);
         let mut gen = DataGen::new(99);
         g.bench_function(BenchmarkId::from_parameter("unified"), |b| {
@@ -75,10 +72,7 @@ fn bench_point_lookup(c: &mut Criterion) {
         let db = Database::in_memory();
         let ds = SalesDataset::load(&db, TableConfig::default(), ORDERS, 1_000, 200, 7).unwrap();
         ds.settle().unwrap();
-        let engine = UnifiedOltp {
-            table: Arc::clone(&ds.sales),
-            mgr: Arc::clone(db.txn_manager()),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let mut k = 0i64;
         g.bench_function(BenchmarkId::from_parameter("unified_main"), |b| {
             b.iter(|| {

@@ -7,13 +7,13 @@
 //! produces the [`CalcGraph`].
 
 use crate::expr::{AggFunc, Expr, Predicate};
-use crate::graph::{CalcGraph, CalcNode, CustomFn, NodeId, PipeOp, ScanSource};
-use hana_core::PartitionedTable;
+use crate::graph::{CalcGraph, CalcNode, CustomFn, NodeId, PipeOp};
+use hana_core::{IntoGroup, PartitionedTable};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 enum Step {
-    Scan(ScanSource),
+    Scan(Arc<PartitionedTable>),
     Filter(Predicate),
     Project(Vec<(String, Expr)>),
     Aggregate {
@@ -48,19 +48,13 @@ pub struct Query {
 }
 
 impl Query {
-    /// Start from a table scan (a plain table or a partitioned group —
-    /// anything convertible into a [`ScanSource`]).
-    pub fn scan(table: impl Into<ScanSource>) -> Self {
+    /// Start from a table scan: a partition group, or a plain table as its
+    /// own 1-shard group. The plan is the same either way; the executor
+    /// fans out per shard and merges results and statistics.
+    pub fn scan(table: impl IntoGroup) -> Self {
         Query {
-            steps: vec![Step::Scan(table.into())],
+            steps: vec![Step::Scan(table.into_group())],
         }
-    }
-
-    /// Start from a scan over a hash-partitioned table group. The plan is
-    /// identical to a single-table scan; the executor fans out per
-    /// partition and merges results and statistics.
-    pub fn scan_partitioned(table: Arc<PartitionedTable>) -> Self {
-        Self::scan(table)
     }
 
     /// Add a filter.

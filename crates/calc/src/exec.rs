@@ -1,8 +1,10 @@
 //! The calc-graph executor.
 //!
 //! Evaluates a [`CalcGraph`] bottom-up with per-node memoization (so shared
-//! subexpressions run once — Fig 3's multi-consumer nodes), reading tables
-//! through [`TableRead`] views under one snapshot. Scans with fused
+//! subexpressions run once — Fig 3's multi-consumer nodes), reading every
+//! table group through one [`PartitionedRead`] under one snapshot (a plain
+//! table is a 1-shard group whose read keeps its chunk-parallel scans).
+//! Scans with fused
 //! predicates push *every* supported conjunct down as a
 //! [`ColumnPredicate`]: the storage layer compiles them into dictionary
 //! codes and evaluates them on the compressed vectors (zone-map pruning,
@@ -10,13 +12,11 @@
 //! row-wise shapes (`Ne`/`Or`/`Not`) stay behind as a residue applied to
 //! the materialized survivors. `SplitCombine` nodes fan out across threads
 //! and re-aggregate.
-//!
-//! [`TableRead`]: hana_core::TableRead
 
 use crate::expr::{AggState, Predicate};
-use crate::graph::{CalcGraph, CalcNode, NodeId, PipeOp, ScanSource};
+use crate::graph::{CalcGraph, CalcNode, NodeId, PipeOp};
 use hana_common::{HanaError, Result, Value};
-use hana_core::{ColumnPredicate, PartitionedRead, ScanStats, TableRead, VisibleRow};
+use hana_core::{ColumnPredicate, PartitionedRead, PartitionedTable, ScanStats};
 use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -76,77 +76,6 @@ pub struct ExecStats {
     /// Largest worker fan-out a storage scan actually used after the
     /// governor's clamp (0 when no chunked scan ran).
     pub effective_parallelism: usize,
-}
-
-/// A pinned read view over a [`ScanSource`]: one table's [`TableRead`] or
-/// the fan-out [`PartitionedRead`] over every shard of a group. The two
-/// expose the same surface, so scans and columnar aggregates run the same
-/// code path regardless of partitioning.
-enum SourceRead {
-    Single(TableRead),
-    Partitioned(PartitionedRead),
-}
-
-impl SourceRead {
-    fn at(source: &ScanSource, snap: Snapshot) -> SourceRead {
-        match source {
-            ScanSource::Single(t) => SourceRead::Single(t.read_at(snap)),
-            ScanSource::Partitioned(p) => SourceRead::Partitioned(p.read_at(snap)),
-        }
-    }
-
-    fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        match self {
-            SourceRead::Single(r) => r.collect_rows_projected(proj),
-            SourceRead::Partitioned(r) => r.collect_rows_projected(proj),
-        }
-    }
-
-    fn scan_filtered(
-        &self,
-        preds: &[ColumnPredicate],
-        proj: Option<&[usize]>,
-    ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        match self {
-            SourceRead::Single(r) => r.scan_filtered(preds, proj),
-            SourceRead::Partitioned(r) => r.scan_filtered(preds, proj),
-        }
-    }
-
-    fn count(&self) -> usize {
-        match self {
-            SourceRead::Single(r) => r.count(),
-            SourceRead::Partitioned(r) => r.count(),
-        }
-    }
-
-    fn aggregate_numeric(&self, col: usize) -> Result<(u64, f64)> {
-        match self {
-            SourceRead::Single(r) => r.aggregate_numeric(col),
-            SourceRead::Partitioned(r) => r.aggregate_numeric(col),
-        }
-    }
-
-    fn group_aggregate(&self, group_col: usize, agg_col: usize) -> Result<Vec<(Value, u64, f64)>> {
-        match self {
-            SourceRead::Single(r) => r.group_aggregate(group_col, agg_col),
-            SourceRead::Partitioned(r) => r.group_aggregate(group_col, agg_col),
-        }
-    }
-
-    fn vis_cache_stats(&self) -> (u64, u64) {
-        match self {
-            SourceRead::Single(r) => r.vis_cache_stats(),
-            SourceRead::Partitioned(r) => r.vis_cache_stats(),
-        }
-    }
-
-    fn governor(&self) -> &std::sync::Arc<hana_core::ResourceGovernor> {
-        match self {
-            SourceRead::Single(r) => r.governor(),
-            SourceRead::Partitioned(r) => r.governor(),
-        }
-    }
 }
 
 /// Executes calc graphs under one snapshot.
@@ -343,11 +272,11 @@ impl Executor {
     /// decoded, the rest come back as `Null` placeholders.
     fn scan(
         &mut self,
-        table: &ScanSource,
+        table: &PartitionedTable,
         fused: &Predicate,
         projection: Option<&[usize]>,
     ) -> Result<ResultSet> {
-        let read = SourceRead::at(table, self.snapshot);
+        let read = table.read_at(self.snapshot);
         // Scan admission: analytical statements take a token for the
         // duration of the storage scan (point/commit paths never do). The
         // token is held until this node finishes materializing.
@@ -365,8 +294,8 @@ impl Executor {
             read.collect_rows_projected(projection)
         } else {
             self.stats.indexed_scans += 1;
-            let (rows, st) = read.scan_filtered(&pushed, projection)?;
-            self.absorb_scan_stats(&st);
+            let (rows, st, fanout) = read.scan_filtered_with_fanout(&pushed, projection)?;
+            self.absorb_scan_stats(&st, fanout);
             rows
         };
         let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
@@ -380,25 +309,21 @@ impl Executor {
 
     /// Fold one read view's visibility-bitmap cache counters into the
     /// statement statistics.
-    fn absorb_cache_stats(&mut self, read: &SourceRead) {
+    fn absorb_cache_stats(&mut self, read: &PartitionedRead) {
         let (hits, misses) = read.vis_cache_stats();
         self.stats.bitmap_cache_hits += hits;
         self.stats.bitmap_cache_misses += misses;
     }
 
-    /// Fold one filtered scan's pruning/kernel counters into the statement
-    /// statistics.
-    fn absorb_scan_stats(&mut self, st: &ScanStats) {
+    /// Fold one filtered scan's pruning/kernel counters and the fan-out it
+    /// ran with into the statement statistics.
+    fn absorb_scan_stats(&mut self, st: &ScanStats, fanout: usize) {
         self.stats.parts_pruned += st.parts_pruned;
         self.stats.chunks_pruned += st.chunks_pruned;
         self.stats.zone_pruned_rows += st.zone_pruned_rows;
         self.stats.code_filtered_rows += st.code_filtered_rows;
         self.stats.residue_rows += st.rowwise_rows;
-        self.stats.governor_wait_ns += st.governor_wait_ns;
-        self.stats.effective_parallelism = self
-            .stats
-            .effective_parallelism
-            .max(st.effective_parallelism);
+        self.stats.effective_parallelism = self.stats.effective_parallelism.max(fanout);
     }
 }
 
@@ -438,7 +363,7 @@ impl Executor {
         {
             return Ok(None);
         }
-        let read = SourceRead::at(table, self.snapshot);
+        let read = table.read_at(self.snapshot);
         // Columnar aggregates are analytical scans too: same admission.
         let (_permit, wait_ns) = read.governor().admit_scan()?;
         self.stats.governor_wait_ns += wait_ns;
@@ -729,6 +654,7 @@ mod tests {
     use crate::expr::{AggFunc, Expr};
     use crate::optimize::optimize;
     use hana_common::{ColumnDef, DataType, Schema, TableConfig};
+    use hana_core::IntoGroup;
     use hana_txn::{IsolationLevel, TxnManager};
     use std::sync::Arc;
 
@@ -889,7 +815,7 @@ mod tests {
         // Build a diamond: one filtered scan feeding two projections + union.
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: t.into(),
+            table: t.into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -1130,7 +1056,7 @@ mod tests {
         let build_single = Query::scan(single)
             .filter(Predicate::Eq(1, Value::str("Campbell")))
             .project(vec![("id", Expr::col(0))]);
-        let build_parted = Query::scan_partitioned(parted)
+        let build_parted = Query::scan(parted)
             .filter(Predicate::Eq(1, Value::str("Campbell")))
             .project(vec![("id", Expr::col(0))]);
         let mut gs = build_single.compile();
@@ -1155,19 +1081,65 @@ mod tests {
     fn partitioned_columnar_aggregate_matches_single_table() {
         let (mgr_s, single) = sales_table();
         let (mgr_p, parted) = partitioned_sales();
-        let q = |src: crate::graph::ScanSource| {
+        let q = |src: Arc<PartitionedTable>| {
             Query::scan(src)
                 .aggregate(vec![1], vec![(AggFunc::Count, 0), (AggFunc::Sum, 2)])
                 .compile()
         };
-        let a = Executor::new(snap(&mgr_s)).run(&q(single.into())).unwrap();
+        let a = Executor::new(snap(&mgr_s))
+            .run(&q(single.into_group()))
+            .unwrap();
         let mut ex = Executor::new(snap(&mgr_p));
-        let b = ex.run(&q(parted.into())).unwrap();
+        let b = ex.run(&q(parted)).unwrap();
         assert_eq!(a.rows, b.rows);
         // The aggregate was answered by the columnar kernels fanned over
         // the partitions — no scan materialization.
         assert_eq!(ex.stats().indexed_scans, 1);
         assert_eq!(ex.stats().full_scans, 0);
+    }
+
+    #[test]
+    fn plain_table_plan_keeps_the_tables_scan_fanout() {
+        // A plain table is scanned as its 1-shard group: the plan must fan
+        // its chunked kernels out exactly as a direct read of the table
+        // does on this host (a 1-shard group never forces its shard serial).
+        let mgr = TxnManager::new();
+        let schema = Schema::new(
+            "wide",
+            vec![
+                ColumnDef::new("id", DataType::Int).unique(),
+                ColumnDef::new("v", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let t =
+            hana_core::UnifiedTable::standalone(schema, TableConfig::default(), Arc::clone(&mgr));
+        let mut txn = mgr.begin(IsolationLevel::Transaction);
+        let rows = (0..50_000i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 100)])
+            .collect();
+        t.bulk_load(&txn, rows).unwrap();
+        txn.commit().unwrap();
+        t.merge_delta_as(hana_merge::MergeDecision::Classic)
+            .unwrap();
+        let preds = [ColumnPredicate::Range(
+            1,
+            Bound::Included(Value::Int(10)),
+            Bound::Excluded(Value::Int(20)),
+        )];
+        let (direct, _, fanout) = t
+            .read_at(snap(&mgr))
+            .scan_filtered_with_fanout(&preds, None)
+            .unwrap();
+        assert!(fanout >= 1, "a chunked kernel scan ran");
+        let mut g = Query::scan(Arc::clone(&t))
+            .filter(Predicate::Between(1, Value::Int(10), Value::Int(20)))
+            .compile();
+        optimize(&mut g);
+        let mut ex = Executor::new(snap(&mgr));
+        let rs = ex.run(&g).unwrap();
+        assert_eq!(rs.len(), direct.len());
+        assert_eq!(ex.stats().effective_parallelism, fanout);
     }
 
     #[test]

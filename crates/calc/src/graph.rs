@@ -7,46 +7,10 @@
 //! shared subexpressions evaluate once.
 
 use crate::expr::{AggFunc, Expr, Predicate};
-use hana_common::{Schema, Value};
-use hana_core::{PartitionedTable, UnifiedTable};
+use hana_common::Value;
+use hana_core::PartitionedTable;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
-
-/// The storage behind a [`CalcNode::TableSource`]: a plain unified table or
-/// a hash-partitioned group. Plans treat both identically — the executor
-/// fans a partitioned scan out over the shards through the same
-/// compressed-domain path and merges the per-partition statistics, so a
-/// table can be re-partitioned without touching any query.
-#[derive(Clone)]
-pub enum ScanSource {
-    /// One unified table.
-    Single(Arc<UnifiedTable>),
-    /// A hash-partitioned table group; every shard is scanned under the
-    /// statement snapshot and combined in partition order.
-    Partitioned(Arc<PartitionedTable>),
-}
-
-impl ScanSource {
-    /// The logical schema of the source.
-    pub fn schema(&self) -> &Schema {
-        match self {
-            ScanSource::Single(t) => t.schema(),
-            ScanSource::Partitioned(p) => p.schema(),
-        }
-    }
-}
-
-impl From<Arc<UnifiedTable>> for ScanSource {
-    fn from(t: Arc<UnifiedTable>) -> Self {
-        ScanSource::Single(t)
-    }
-}
-
-impl From<Arc<PartitionedTable>> for ScanSource {
-    fn from(p: Arc<PartitionedTable>) -> Self {
-        ScanSource::Partitioned(p)
-    }
-}
 
 /// Index of a node within its [`CalcGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +23,12 @@ pub type CustomFn =
 /// One logical operator.
 #[derive(Clone)]
 pub enum CalcNode {
-    /// Scan a unified table or partitioned group (all columns unless a
-    /// projection was pushed down).
+    /// Scan a table group (all columns unless a projection was pushed
+    /// down). A plain table is its own 1-shard group, so plans read
+    /// partitioned and unpartitioned tables through one path.
     TableSource {
-        /// The table (or partitioned group) to scan.
-        table: ScanSource,
+        /// The group to scan.
+        table: Arc<PartitionedTable>,
         /// Predicate fused into the scan by the optimizer; resolved through
         /// the table's dictionaries/inverted indexes when possible.
         fused_filter: Predicate,
@@ -324,13 +289,15 @@ impl CalcGraph {
 mod tests {
     use super::*;
     use hana_common::{ColumnDef, DataType, Schema, TableConfig};
+    use hana_core::IntoGroup;
     use hana_txn::TxnManager;
 
     fn source() -> CalcNode {
         let mgr = TxnManager::new();
         let schema = Schema::new("t", vec![ColumnDef::new("x", DataType::Int)]).unwrap();
         CalcNode::TableSource {
-            table: hana_core::UnifiedTable::standalone(schema, TableConfig::default(), mgr).into(),
+            table: hana_core::UnifiedTable::standalone(schema, TableConfig::default(), mgr)
+                .into_group(),
             fused_filter: Predicate::True,
             projection: None,
         }

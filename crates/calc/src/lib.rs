@@ -28,5 +28,5 @@ pub mod optimize;
 pub use builder::Query;
 pub use exec::{ExecStats, Executor, ResultSet};
 pub use expr::{AggFunc, Expr, Predicate};
-pub use graph::{CalcGraph, CalcNode, NodeId, ScanSource};
+pub use graph::{CalcGraph, CalcNode, NodeId};
 pub use optimize::optimize;

@@ -278,6 +278,7 @@ mod tests {
     use super::*;
     use crate::expr::Predicate;
     use hana_common::{ColumnDef, DataType, Schema, TableConfig, Value};
+    use hana_core::IntoGroup;
     use hana_txn::TxnManager;
     use std::sync::Arc;
 
@@ -298,7 +299,7 @@ mod tests {
     fn filter_fuses_into_scan() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -325,7 +326,7 @@ mod tests {
     fn stacked_filters_merge_then_fuse() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -352,7 +353,7 @@ mod tests {
     fn projections_collapse() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -388,7 +389,7 @@ mod tests {
         // scan(a, b) -> project(b) needs only column 1.
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -408,7 +409,7 @@ mod tests {
         // no strict subset exists and the projection stays None.
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -431,7 +432,7 @@ mod tests {
     fn aggregate_inputs_push_into_scan() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -449,7 +450,7 @@ mod tests {
     fn root_scan_keeps_all_columns() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -463,7 +464,7 @@ mod tests {
         // Two projections over one scan: col 0 and col 1 → both needed.
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });
@@ -487,7 +488,7 @@ mod tests {
     fn shared_subexpressions_not_rewritten() {
         let mut g = CalcGraph::new();
         let s = g.add(CalcNode::TableSource {
-            table: table().into(),
+            table: table().into_group(),
             fused_filter: Predicate::True,
             projection: None,
         });

@@ -9,7 +9,7 @@ use hana_common::{
     ColumnId, CommitConfig, GovernorConfig, GovernorStats, HanaError, PartitionConfig, Result,
     RowId, Schema, ScrubConfig, TableConfig, TableId, Timestamp, TxnId, Value,
 };
-use hana_merge::{MergeDaemon, MergeMetrics, MergeTarget};
+use hana_merge::{MergeDaemon, MergePass, MergeTarget};
 use hana_persist::{
     FaultInjector, HealthStats, IntegrityStats, LogRecord, LogStats, Persistence, DEFAULT_PAGE_SIZE,
 };
@@ -49,10 +49,11 @@ pub struct Database {
     mgr: Arc<TxnManager>,
     persist: Option<Arc<Persistence>>,
     fence: Arc<RwLock<()>>,
+    /// Every shard, as a first-class catalog citizen with its own id.
     tables: RwLock<Catalog>,
-    /// Hash-partitioned logical tables by logical name; the partitions
-    /// themselves live in `tables` as first-class catalog citizens.
-    partitioned: RwLock<FxHashMap<String, Arc<PartitionedTable>>>,
+    /// Every logical table as a partition group, by logical name: a plain
+    /// table is a 1-shard group whose shard is the table itself.
+    groups: RwLock<FxHashMap<String, Arc<PartitionedTable>>>,
     next_table_id: AtomicU32,
     daemon: Mutex<Option<MergeDaemon>>,
     /// Background MVCC GC state; `Some` once [`Database::enable_gc`] ran.
@@ -81,15 +82,11 @@ struct GovernedMerge {
 }
 
 impl MergeTarget for GovernedMerge {
-    fn maybe_merge(&self) -> Result<bool> {
+    fn maybe_merge(&self) -> Result<MergePass> {
         if !self.governor.admit_merge_at(&self.last_hot_pass_ns) {
-            return Ok(false);
+            return Ok(MergePass::default());
         }
         self.inner.maybe_merge()
-    }
-
-    fn last_merge_metrics(&self) -> Option<MergeMetrics> {
-        self.inner.last_merge_metrics()
     }
 }
 
@@ -119,7 +116,7 @@ impl Database {
             persist: None,
             fence: Arc::new(RwLock::new(())),
             tables: RwLock::new(Catalog::default()),
-            partitioned: RwLock::new(FxHashMap::default()),
+            groups: RwLock::new(FxHashMap::default()),
             next_table_id: AtomicU32::new(0),
             daemon: Mutex::new(None),
             gc: Mutex::new(None),
@@ -154,7 +151,7 @@ impl Database {
             persist: Some(persist),
             fence: Arc::new(RwLock::new(())),
             tables: RwLock::new(Catalog::default()),
-            partitioned: RwLock::new(FxHashMap::default()),
+            groups: RwLock::new(FxHashMap::default()),
             next_table_id: AtomicU32::new(0),
             daemon: Mutex::new(None),
             gc: Mutex::new(None),
@@ -179,14 +176,10 @@ impl Database {
         let mut max_table_id = 0u32;
         for img in &recovered.images {
             max_table_id = max_table_id.max(img.table_id + 1);
-            let t = UnifiedTable::create(
+            let t = db.new_shard(
                 TableId(img.table_id),
                 img.schema.clone(),
                 img.config.clone(),
-                Arc::clone(&db.mgr),
-                db.persist.clone(),
-                Arc::clone(&db.fence),
-                Arc::clone(&db.governor),
             );
             t.load_image(img, &resolve)?;
             db.tables.write().push(t);
@@ -206,15 +199,7 @@ impl Database {
                     max_table_id = max_table_id.max(table.0 + 1);
                     // Idempotence: the table may already exist via an image.
                     if db.table_by_id(*table).is_none() {
-                        let t = UnifiedTable::create(
-                            *table,
-                            schema.clone(),
-                            config.clone(),
-                            Arc::clone(&db.mgr),
-                            db.persist.clone(),
-                            Arc::clone(&db.fence),
-                            Arc::clone(&db.governor),
-                        );
+                        let t = db.new_shard(*table, schema.clone(), config.clone());
                         db.tables.write().push(t);
                     }
                 }
@@ -261,29 +246,31 @@ impl Database {
             }
         }
         db.next_table_id.store(max_table_id, Ordering::SeqCst);
-        db.regroup_partitions()?;
+        db.regroup()?;
         Ok(db)
     }
 
-    /// Regroup recovered partition shards into their logical
-    /// [`PartitionedTable`]s: shards carry a [`hana_common::PartitionSpec`]
-    /// in their persisted config, so grouping by `group` and ordering by
-    /// `index` reconstructs the partitioned catalog exactly. An incomplete
-    /// group (a create torn by a crash before every shard's CreateTable
-    /// record became durable) is left out of the registry; its shards stay
-    /// plain catalog tables and hold no committed data.
-    fn regroup_partitions(&self) -> Result<()> {
-        let mut groups: FxHashMap<String, Vec<Arc<UnifiedTable>>> = FxHashMap::default();
-        for t in &self.tables.read().list {
-            if let Some(spec) = &t.config().partition {
-                groups
-                    .entry(spec.group.clone())
-                    .or_default()
-                    .push(Arc::clone(t));
+    /// File every recovered shard into its logical group. A spec-less
+    /// table is a 1-shard group under its own name. Partition shards carry
+    /// a [`hana_common::PartitionSpec`] in their persisted config, so
+    /// grouping by `group` and ordering by `index` reconstructs the group
+    /// exactly. An incomplete group (a create torn by a crash before every
+    /// shard's CreateTable record became durable) is left out of the
+    /// registry; its shards stay catalog tables and hold no committed data.
+    fn regroup(&self) -> Result<()> {
+        let shards = self.tables.read().list.clone();
+        let mut groups = self.groups.write();
+        let mut sharded: FxHashMap<String, Vec<Arc<UnifiedTable>>> = FxHashMap::default();
+        for t in shards {
+            match &t.config().partition {
+                None => {
+                    let solo = PartitionedTable::solo(Arc::clone(&t));
+                    groups.insert(t.schema().name.clone(), Arc::new(solo));
+                }
+                Some(spec) => sharded.entry(spec.group.clone()).or_default().push(t),
             }
         }
-        let mut registry = self.partitioned.write();
-        for (group, mut parts) in groups {
+        for (group, mut parts) in sharded {
             parts.sort_by_key(|t| {
                 t.config()
                     .partition
@@ -303,7 +290,7 @@ impl Database {
             schema.name = group.clone();
             let pt =
                 PartitionedTable::from_parts(schema, ColumnId(spec.hash_column as u16), parts)?;
-            registry.insert(group, Arc::new(pt));
+            groups.insert(group, Arc::new(pt));
         }
         Ok(())
     }
@@ -318,61 +305,17 @@ impl Database {
         self.persist.is_some()
     }
 
-    /// Create a table.
+    /// Create a table: a 1-shard partition group whose only shard carries
+    /// the table's own name and config (no [`hana_common::PartitionSpec`]),
+    /// so its log records, savepoint image and manifest are exactly those
+    /// of an unpartitioned table. Returns that shard.
     pub fn create_table(
         self: &Arc<Self>,
         schema: Schema,
         config: TableConfig,
     ) -> Result<Arc<UnifiedTable>> {
-        // Lock order: fence before the catalog lock, matching every other
-        // writer — and holding it keeps a concurrent savepoint from
-        // rotating the CreateTable record out of the log before the table
-        // is imaged in the catalog.
-        let _fence = self.fence.read();
-        let mut tables = self.tables.write();
-        if tables.by_name.contains_key(&schema.name) {
-            return Err(HanaError::Schema(format!(
-                "table {} already exists",
-                schema.name
-            )));
-        }
-        let id = TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst));
-        if let Some(p) = &self.persist {
-            p.append_record(&LogRecord::CreateTable {
-                table: id,
-                schema: schema.clone(),
-                config: config.clone(),
-            })?;
-            p.flush_records()?;
-        }
-        let t = UnifiedTable::create(
-            id,
-            schema,
-            config,
-            Arc::clone(&self.mgr),
-            self.persist.clone(),
-            Arc::clone(&self.fence),
-            Arc::clone(&self.governor),
-        );
-        tables.push(Arc::clone(&t));
-        drop(tables);
-        let gc = self.gc.lock().clone();
-        if let Some(g) = &gc {
-            // Register before handing the target to the daemon so the
-            // cross-table trim gate counts this table from the first cycle.
-            g.register_table(t.id().0);
-        }
-        if let Some(d) = &*self.daemon.lock() {
-            d.add_target(self.governed(Arc::clone(&t) as Arc<dyn MergeTarget>));
-            if let Some(g) = &gc {
-                d.add_target(
-                    self.governed(
-                        TableGc::new(Arc::clone(&t), Arc::clone(g)) as Arc<dyn MergeTarget>
-                    ),
-                );
-            }
-        }
-        Ok(t)
+        let group = self.create_group(schema, config, None)?;
+        Ok(Arc::clone(&group.partitions()[0]))
     }
 
     /// Create a hash-partitioned table: `pcfg.partitions` unified tables,
@@ -399,97 +342,107 @@ impl Database {
                 pcfg.hash_column, schema.name
             )));
         }
-        let n = pcfg.partitions as u32;
-        let key_col = ColumnId(pcfg.hash_column as u16);
+        self.create_group(schema, config, Some(pcfg))
+    }
+
+    /// The one table-creation routine: log one CreateTable record per
+    /// shard (flushed once), build the shards into the catalog, file the
+    /// group under its logical name and register the shards with the
+    /// merge daemon and GC. `pcfg: None` builds a plain table's 1-shard
+    /// group.
+    fn create_group(
+        &self,
+        schema: Schema,
+        config: TableConfig,
+        pcfg: Option<PartitionConfig>,
+    ) -> Result<Arc<PartitionedTable>> {
+        let key_col = ColumnId(pcfg.map_or(0, |p| p.hash_column) as u16);
+        let shards: Vec<(Schema, TableConfig)> = match pcfg {
+            None => vec![(schema.clone(), config)],
+            Some(p) => {
+                let n = p.partitions as u32;
+                (0..n)
+                    .map(|i| {
+                        let mut shard_schema = schema.clone();
+                        shard_schema.name = partition_name(&schema.name, i);
+                        let cfg = shard_config(&config, &schema.name, key_col, i, n);
+                        (shard_schema, cfg)
+                    })
+                    .collect()
+            }
+        };
+        // Lock order: fence before the catalog locks, matching every other
+        // writer — and holding it keeps a concurrent savepoint from
+        // rotating the CreateTable records out of the log before the
+        // shards are imaged in the catalog.
         let _fence = self.fence.read();
         let mut tables = self.tables.write();
-        let mut registry = self.partitioned.write();
-        if tables.by_name.contains_key(&schema.name) || registry.contains_key(&schema.name) {
-            return Err(HanaError::Schema(format!(
-                "table {} already exists",
-                schema.name
-            )));
+        let mut groups = self.groups.write();
+        let taken = Some(&schema.name)
+            .filter(|n| groups.contains_key(*n))
+            .or_else(|| {
+                shards
+                    .iter()
+                    .map(|(s, _)| &s.name)
+                    .find(|n| tables.by_name.contains_key(*n))
+            });
+        if let Some(name) = taken {
+            return Err(HanaError::Schema(format!("table {name} already exists")));
         }
-        for i in 0..n {
-            if tables
-                .by_name
-                .contains_key(&partition_name(&schema.name, i))
-            {
-                return Err(HanaError::Schema(format!(
-                    "table {} already exists",
-                    partition_name(&schema.name, i)
-                )));
-            }
-        }
-        let mut parts = Vec::with_capacity(pcfg.partitions);
-        for i in 0..n {
-            let mut shard_schema = schema.clone();
-            shard_schema.name = partition_name(&schema.name, i);
-            let cfg = shard_config(&config, &schema.name, key_col, i, n);
-            let id = TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst));
-            if let Some(p) = &self.persist {
+        let ids: Vec<TableId> = shards
+            .iter()
+            .map(|_| TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst)))
+            .collect();
+        if let Some(p) = &self.persist {
+            for ((shard_schema, cfg), id) in shards.iter().zip(&ids) {
                 p.append_record(&LogRecord::CreateTable {
-                    table: id,
+                    table: *id,
                     schema: shard_schema.clone(),
                     config: cfg.clone(),
                 })?;
             }
-            let t = UnifiedTable::create(
-                id,
-                shard_schema,
-                cfg,
-                Arc::clone(&self.mgr),
-                self.persist.clone(),
-                Arc::clone(&self.fence),
-                Arc::clone(&self.governor),
-            );
-            tables.push(Arc::clone(&t));
-            parts.push(t);
-        }
-        if let Some(p) = &self.persist {
             p.flush_records()?;
         }
-        let pt = Arc::new(PartitionedTable::from_parts(
-            schema.clone(),
-            key_col,
-            parts.clone(),
-        )?);
-        registry.insert(schema.name.clone(), Arc::clone(&pt));
-        drop(registry);
+        let parts: Vec<Arc<UnifiedTable>> = shards
+            .into_iter()
+            .zip(ids)
+            .map(|((shard_schema, cfg), id)| {
+                let t = self.new_shard(id, shard_schema, cfg);
+                tables.push(Arc::clone(&t));
+                t
+            })
+            .collect();
+        let group = Arc::new(PartitionedTable::from_parts(schema, key_col, parts)?);
+        groups.insert(group.schema().name.clone(), Arc::clone(&group));
+        drop(groups);
         drop(tables);
         let gc = self.gc.lock().clone();
-        if let Some(g) = &gc {
-            for t in &parts {
-                g.register_table(t.id().0);
-            }
-        }
-        if let Some(d) = &*self.daemon.lock() {
-            for t in &parts {
-                d.add_target(self.governed(Arc::clone(t) as Arc<dyn MergeTarget>));
-                if let Some(g) = &gc {
-                    // One GC target per shard: collecting one partition
-                    // never stalls a sibling (per-target claim/backoff).
-                    d.add_target(self.governed(
-                        TableGc::new(Arc::clone(t), Arc::clone(g)) as Arc<dyn MergeTarget>
-                    ));
-                }
-            }
-        }
-        Ok(pt)
+        self.register_targets(group.partitions(), gc.as_ref(), true);
+        Ok(group)
     }
 
-    /// Look up a partitioned table by its logical name.
+    /// Build one shard over this database's transaction manager,
+    /// persistence, savepoint fence and governor (not yet in the catalog).
+    fn new_shard(&self, id: TableId, schema: Schema, config: TableConfig) -> Arc<UnifiedTable> {
+        UnifiedTable::create(
+            id,
+            schema,
+            config,
+            Arc::clone(&self.mgr),
+            self.persist.clone(),
+            Arc::clone(&self.fence),
+            Arc::clone(&self.governor),
+        )
+    }
+
+    /// Look up a logical table's partition group (a plain table resolves
+    /// as its 1-shard group).
     pub fn partitioned_table(&self, name: &str) -> Result<Arc<PartitionedTable>> {
-        self.partitioned
+        self.groups
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| HanaError::NotFound(format!("partitioned table {name}")))
-    }
-
-    /// All partitioned tables.
-    pub fn partitioned_tables(&self) -> Vec<Arc<PartitionedTable>> {
-        self.partitioned.read().values().cloned().collect()
     }
 
     /// Look up a table by name (O(1) via the catalog index).
@@ -562,14 +515,61 @@ impl Database {
         Ok(())
     }
 
-    /// Wrap a merge/GC target in the governor's admission check before
-    /// handing it to the daemon.
+    /// The daemon targets that drive `shards`, each wrapped in the
+    /// governor's admission check: a merge target per shard when `merges`,
+    /// plus a GC target per shard when `gc` is on. One target per shard
+    /// means merging or collecting one shard never stalls a sibling
+    /// (per-target claim and backoff).
+    fn shard_targets(
+        &self,
+        shards: &[Arc<UnifiedTable>],
+        gc: Option<&Arc<GcShared>>,
+        merges: bool,
+    ) -> Vec<Arc<dyn MergeTarget>> {
+        let mut out = Vec::new();
+        for t in shards {
+            if merges {
+                out.push(self.governed(Arc::clone(t) as Arc<dyn MergeTarget>));
+            }
+            if let Some(g) = gc {
+                out.push(
+                    self.governed(
+                        TableGc::new(Arc::clone(t), Arc::clone(g)) as Arc<dyn MergeTarget>
+                    ),
+                );
+            }
+        }
+        out
+    }
+
+    /// Wrap a merge/GC/scrub target in the governor's admission check
+    /// before handing it to the daemon.
     fn governed(&self, inner: Arc<dyn MergeTarget>) -> Arc<dyn MergeTarget> {
         Arc::new(GovernedMerge {
             inner,
             governor: Arc::clone(&self.governor),
             last_hot_pass_ns: AtomicU64::new(0),
         })
+    }
+
+    /// Register `shards` with GC (so the cross-table trim gate counts them
+    /// from the first cycle) and hand their targets to a running daemon.
+    fn register_targets(
+        &self,
+        shards: &[Arc<UnifiedTable>],
+        gc: Option<&Arc<GcShared>>,
+        merges: bool,
+    ) {
+        if let Some(g) = gc {
+            for t in shards {
+                g.register_table(t.id().0);
+            }
+        }
+        if let Some(d) = &*self.daemon.lock() {
+            for target in self.shard_targets(shards, gc, merges) {
+                d.add_target(target);
+            }
+        }
     }
 
     /// Release row locks on the tables the transaction actually wrote
@@ -682,22 +682,7 @@ impl Database {
     /// (`0` = auto), so several tables can merge concurrently.
     pub fn start_merge_daemon_pool(&self, interval: std::time::Duration, workers: usize) {
         let gc = self.gc.lock().clone();
-        let mut targets: Vec<Arc<dyn MergeTarget>> = self
-            .tables
-            .read()
-            .list
-            .iter()
-            .map(|t| self.governed(Arc::clone(t) as Arc<dyn MergeTarget>))
-            .collect();
-        if let Some(g) = &gc {
-            for t in self.tables.read().list.iter() {
-                targets.push(
-                    self.governed(
-                        TableGc::new(Arc::clone(t), Arc::clone(g)) as Arc<dyn MergeTarget>
-                    ),
-                );
-            }
-        }
+        let mut targets = self.shard_targets(&self.tables(), gc.as_ref(), true);
         if let (Some(cfg), Some(p)) = (*self.scrub.lock(), &self.persist) {
             targets.push(self.governed(Scrubber::new(Arc::clone(p), cfg) as Arc<dyn MergeTarget>));
         }
@@ -729,17 +714,7 @@ impl Database {
     pub fn enable_gc(&self) {
         let shared = GcShared::new();
         *self.gc.lock() = Some(Arc::clone(&shared));
-        let tables = self.tables.read().list.clone();
-        for t in &tables {
-            shared.register_table(t.id().0);
-        }
-        if let Some(d) = &*self.daemon.lock() {
-            for t in &tables {
-                d.add_target(self.governed(
-                    TableGc::new(Arc::clone(t), Arc::clone(&shared)) as Arc<dyn MergeTarget>
-                ));
-            }
-        }
+        self.register_targets(&self.tables(), Some(&shared), false);
     }
 
     /// Snapshot of the garbage collector's aggregate statistics, if GC is
@@ -1016,6 +991,13 @@ mod tests {
         assert_eq!(s, 0.0);
     }
 
+    /// The accounts schema under another table name.
+    fn named(name: &str) -> Schema {
+        let mut s = schema();
+        s.name = name.into();
+        s
+    }
+
     #[test]
     fn partitioned_table_survives_savepoint_and_recovery() {
         let dir = tempdir().unwrap();
@@ -1028,17 +1010,23 @@ mod tests {
                     hana_common::PartitionConfig::new(3, 0),
                 )
                 .unwrap();
+            let plain = db
+                .create_table(named("ledger"), TableConfig::small())
+                .unwrap();
             let mut txn = db.begin(IsolationLevel::Transaction);
             for i in 0..30 {
                 pt.insert(&txn, acct(i, "x", i * 10)).unwrap();
+                plain.insert(&txn, acct(i, "y", i)).unwrap();
             }
             db.commit(&mut txn).unwrap();
             // Push one partition's lifecycle forward, then savepoint.
             pt.partitions()[0].drain_l1().unwrap();
+            plain.drain_l1().unwrap();
             db.savepoint().unwrap();
             // Post-savepoint tail replayed from the log.
             let mut txn = db.begin(IsolationLevel::Transaction);
             pt.insert(&txn, acct(100, "tail", 1)).unwrap();
+            plain.insert(&txn, acct(100, "tail", 1)).unwrap();
             db.commit(&mut txn).unwrap();
             // An uncommitted straggler must not survive.
             let open = db.begin(IsolationLevel::Transaction);
@@ -1062,44 +1050,93 @@ mod tests {
         assert_eq!(spec.group, "accounts");
         assert_eq!(spec.index, 1);
         assert_eq!(spec.of, 3);
-        // The recovered partitioned table keeps accepting writes.
+        // The plain table resolves as a 1-shard group whose shard is the
+        // table itself, still without a partition spec.
+        let plain = db.partitioned_table("ledger").unwrap();
+        assert_eq!(plain.partition_count(), 1);
+        assert!(Arc::ptr_eq(
+            &plain.partitions()[0],
+            &db.table("ledger").unwrap()
+        ));
+        assert!(plain.partitions()[0].config().partition.is_none());
+        assert_eq!(plain.read_at(snap).count(), 31);
+        assert_eq!(plain.point(snap, &Value::Int(100)).unwrap().len(), 1);
+        // The recovered tables keep accepting writes.
         let mut txn = db.begin(IsolationLevel::Transaction);
         pt.insert(&txn, acct(300, "fresh", 5)).unwrap();
+        plain.insert(&txn, acct(300, "fresh", 5)).unwrap();
         db.commit(&mut txn).unwrap();
+    }
+
+    #[test]
+    fn plain_table_logs_and_images_without_partition_spec() {
+        let dir = tempdir().unwrap();
+        {
+            let db = Database::open(dir.path()).unwrap();
+            db.create_table(schema(), TableConfig::small()).unwrap();
+        }
+        let recovered = Persistence::recover(dir.path()).unwrap();
+        let created: Vec<_> = recovered
+            .log_records
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::CreateTable { schema, config, .. } => Some((schema, config)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(created.len(), 1);
+        assert_eq!(created[0].0.name, "accounts");
+        assert_eq!(created[0].1.partition, None);
+        {
+            let db = Database::open(dir.path()).unwrap();
+            db.savepoint().unwrap();
+        }
+        let recovered = Persistence::recover(dir.path()).unwrap();
+        assert_eq!(recovered.images.len(), 1);
+        assert_eq!(recovered.images[0].schema.name, "accounts");
+        assert_eq!(recovered.images[0].config.partition, None);
     }
 
     #[test]
     fn merge_daemon_picks_up_tables_created_after_start() {
         let db = Database::in_memory();
+        db.enable_gc();
         db.start_merge_daemon(std::time::Duration::from_millis(2));
+        let cfg = TableConfig {
+            l1_max_rows: 8,
+            l2_max_rows: 16,
+            ..TableConfig::default()
+        };
         let pt = db
             .create_partitioned_table(
                 schema(),
-                TableConfig {
-                    l1_max_rows: 8,
-                    l2_max_rows: 16,
-                    ..TableConfig::default()
-                },
+                cfg.clone(),
                 hana_common::PartitionConfig::new(2, 0),
             )
             .unwrap();
+        db.create_table(named("ledger"), cfg).unwrap();
+        let plain = db.partitioned_table("ledger").unwrap();
+        // One merge and one GC target per shard: two partitions plus the
+        // plain table's single shard.
+        let targets = db.daemon.lock().as_ref().map(|d| d.target_count());
+        assert_eq!(targets, Some(6));
         let mut txn = db.begin(IsolationLevel::Transaction);
         for i in 0..200 {
             pt.insert(&txn, acct(i, "x", i)).unwrap();
+            plain.insert(&txn, acct(i, "x", i)).unwrap();
         }
         db.commit(&mut txn).unwrap();
+        let shards: Vec<_> = pt.partitions().iter().chain(plain.partitions()).collect();
         for _ in 0..500 {
-            let settled = pt
-                .partitions()
-                .iter()
-                .all(|p| p.stage_stats().main_rows > 0);
+            let settled = shards.iter().all(|p| p.stage_stats().main_rows > 0);
             if settled {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         db.stop_merge_daemon();
-        for p in pt.partitions() {
+        assert!(db.gc_stats().unwrap().cycles > 0, "GC swept the shards");
+        for p in shards {
             assert!(
                 p.stage_stats().main_rows > 0,
                 "daemon must drive partitions registered after spawn"

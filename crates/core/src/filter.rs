@@ -169,7 +169,10 @@ pub(crate) fn zone_admits(z: ZoneEntry, m: &CodeMatcher) -> bool {
     (m.match_null && z.has_nulls) || m.filter.span().is_some_and(|(lo, hi)| z.overlaps(lo, hi))
 }
 
-/// Counters a filtered scan reports up to the engine's `ExecStats`.
+/// The work a filtered scan did, as deterministic counters the engine folds
+/// into its `ExecStats`: they depend on the data, the snapshot and the
+/// fixed chunk plan, never on how many workers ran the chunks (the fan-out
+/// is reported beside these counters, see `TableRead::scan_filtered_with_fanout`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Whole main parts skipped by part-level zone maps (or empty compiled
@@ -187,12 +190,6 @@ pub struct ScanStats {
     pub rowwise_rows: u64,
     /// Inverted-index probes used to route a selective `Eq` conjunct.
     pub index_probes: usize,
-    /// Time (ns) this scan spent waiting for a governor admission token —
-    /// attributes interference per query.
-    pub governor_wait_ns: u64,
-    /// Worker threads the scan actually fanned out over after the
-    /// governor's clamp (vs the configured `scan_parallelism`).
-    pub effective_parallelism: usize,
 }
 
 impl ScanStats {
@@ -204,8 +201,6 @@ impl ScanStats {
         self.code_filtered_rows += o.code_filtered_rows;
         self.rowwise_rows += o.rowwise_rows;
         self.index_probes += o.index_probes;
-        self.governor_wait_ns += o.governor_wait_ns;
-        self.effective_parallelism = self.effective_parallelism.max(o.effective_parallelism);
     }
 }
 

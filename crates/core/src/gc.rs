@@ -49,7 +49,7 @@
 
 use crate::table::UnifiedTable;
 use hana_common::{Timestamp, TxnId, COMMIT_TS_MAX};
-use hana_merge::MergeTarget;
+use hana_merge::{MergePass, MergeTarget};
 use hana_store::L2Delta;
 use hana_txn::{Resolution, TxnManager};
 use parking_lot::Mutex;
@@ -499,12 +499,12 @@ impl TableGc {
 }
 
 impl MergeTarget for TableGc {
-    fn maybe_merge(&self) -> hana_common::Result<bool> {
+    fn maybe_merge(&self) -> hana_common::Result<MergePass> {
         {
             let mut last = self.last_run.lock();
             if let Some(t) = *last {
                 if t.elapsed() < self.min_gap {
-                    return Ok(false);
+                    return Ok(MergePass::default());
                 }
             }
             *last = Some(Instant::now());
@@ -513,6 +513,6 @@ impl MergeTarget for TableGc {
         self.shared
             .absorb(self.table.txn_manager(), self.table.id().0, report);
         // Never count as a merge, never arm the daemon's failure backoff.
-        Ok(false)
+        Ok(MergePass::default())
     }
 }

@@ -12,11 +12,17 @@
 //! transaction, commit/abort visit exactly the (table, partition) pairs a
 //! transaction actually wrote.
 //!
+//! Every logical table is such a group: `Database::create_table` builds a
+//! 1-shard group whose only shard carries the table's own name and no
+//! [`PartitionSpec`], so a plain table and a partitioned one share one
+//! catalog, one read path and one OLTP path.
+//!
 //! Reads fan out through [`PartitionedRead`]: one pinned [`TableRead`] per
 //! partition under one shared snapshot, executed over the bounded
 //! [`map_indexed`] pool and combined in partition-index order — each
 //! partition's result is bit-identical to its serial scan, so the combined
-//! output is deterministic regardless of worker count.
+//! output is deterministic regardless of worker count. A 1-shard group
+//! leaves the parallelism to its shard's chunk-level fan-out.
 
 use crate::filter::{ColumnPredicate, ScanStats};
 use crate::read::{TableRead, VisibleRow};
@@ -112,6 +118,16 @@ impl PartitionedTable {
         })
     }
 
+    /// A plain table as its own 1-shard group (routing is trivial, so the
+    /// key column is nominal).
+    pub fn solo(table: Arc<UnifiedTable>) -> Self {
+        PartitionedTable {
+            schema: table.schema().clone(),
+            key_col: ColumnId(0),
+            partitions: vec![table],
+        }
+    }
+
     /// Assemble a partitioned table from already-built partitions (the
     /// database's create and recovery paths; `partitions` must be in
     /// partition-index order).
@@ -163,8 +179,7 @@ impl PartitionedTable {
     /// Insert, routing by the partition key.
     pub fn insert(&self, txn: &Transaction, row: Vec<Value>) -> Result<RowId> {
         self.schema.check_row(&row)?;
-        self.route(&row[self.key_col.idx()].clone())
-            .insert(txn, row)
+        self.route(&row[self.key_col.idx()]).insert(txn, row)
     }
 
     /// Point query on the partition key: touches exactly one partition.
@@ -193,18 +208,23 @@ impl PartitionedTable {
         self.read_at(txn.read_snapshot())
     }
 
-    /// Open a partition-fanned read view under an explicit snapshot. Shard
-    /// views are marked serial so only the partition level fans out — the
-    /// pool is sized once here instead of once per shard (nested fan-out
-    /// oversubscribed small hosts badly; see `ResourceGovernor`).
+    /// Open a partition-fanned read view under an explicit snapshot. With
+    /// two or more shards, shard views are marked serial so only the
+    /// partition level fans out — the pool is sized once here instead of
+    /// once per shard (nested fan-out oversubscribed small hosts badly; see
+    /// `ResourceGovernor`). A 1-shard group keeps its shard's chunk-parallel
+    /// scans, exactly like reading the table directly.
     pub fn read_at(&self, snap: Snapshot) -> PartitionedRead {
+        let sharded = self.partitions.len() > 1;
         PartitionedRead {
             reads: self
                 .partitions
                 .iter()
                 .map(|p| {
                     let mut r = p.read_at(snap);
-                    r.set_serial_shard();
+                    if sharded {
+                        r.set_serial_shard();
+                    }
                     r
                 })
                 .collect(),
@@ -291,19 +311,13 @@ impl PartitionedRead {
 
     /// All visible rows, partitions combined in partition-index order.
     pub fn collect_rows(&self) -> Vec<VisibleRow> {
-        self.fan_out(|r| r.collect_rows())
-            .into_iter()
-            .flatten()
-            .collect()
+        concat(self.fan_out(|r| r.collect_rows()))
     }
 
     /// [`collect_rows`](Self::collect_rows) with a projection pushed into
     /// materialization.
     pub fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        self.fan_out(|r| r.collect_rows_projected(proj))
-            .into_iter()
-            .flatten()
-            .collect()
+        concat(self.fan_out(|r| r.collect_rows_projected(proj)))
     }
 
     /// Partition-parallel filtered scan: each partition runs the full
@@ -315,15 +329,35 @@ impl PartitionedRead {
         preds: &[ColumnPredicate],
         proj: Option<&[usize]>,
     ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        let per = self.fan_out(|r| r.scan_filtered(preds, proj));
-        let mut out = Vec::new();
+        self.scan_filtered_with_fanout(preds, proj)
+            .map(|(rows, stats, _)| (rows, stats))
+    }
+
+    /// [`scan_filtered`](Self::scan_filtered), also returning the fan-out it
+    /// ran with: the partition-level workers, or a 1-shard group's
+    /// chunk-level fan-out (see [`TableRead::scan_filtered_with_fanout`]).
+    pub fn scan_filtered_with_fanout(
+        &self,
+        preds: &[ColumnPredicate],
+        proj: Option<&[usize]>,
+    ) -> Result<(Vec<VisibleRow>, ScanStats, usize)> {
+        let workers = self.workers();
+        let per = map_indexed(self.reads.len(), workers, |i| {
+            self.reads[i].scan_filtered_with_fanout(preds, proj)
+        });
+        let mut parts = Vec::with_capacity(per.len());
         let mut stats = ScanStats::default();
+        let mut fanout = 0;
         for res in per {
-            let (rows, st) = res?;
-            out.extend(rows);
+            let (rows, st, f) = res?;
+            parts.push(rows);
             stats.merge(&st);
+            fanout = fanout.max(f);
         }
-        Ok((out, stats))
+        if parts.len() > 1 {
+            fanout = fanout.max(workers);
+        }
+        Ok((concat(parts), stats, fanout))
     }
 
     /// Count visible rows across all partitions.
@@ -403,6 +437,38 @@ impl PartitionedRead {
             c += z;
         }
         (a, b, c)
+    }
+}
+
+/// Concatenate per-partition rows in partition-index order; a 1-shard
+/// group's rows move through without a copy.
+fn concat(mut parts: Vec<Vec<VisibleRow>>) -> Vec<VisibleRow> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for p in parts {
+        out.extend(p);
+    }
+    out
+}
+
+/// Anything a query can scan as a table group: a group itself, or a plain
+/// table as its own 1-shard group.
+pub trait IntoGroup {
+    /// The group to scan.
+    fn into_group(self) -> Arc<PartitionedTable>;
+}
+
+impl IntoGroup for Arc<PartitionedTable> {
+    fn into_group(self) -> Arc<PartitionedTable> {
+        self
+    }
+}
+
+impl IntoGroup for Arc<UnifiedTable> {
+    fn into_group(self) -> Arc<PartitionedTable> {
+        Arc::new(PartitionedTable::solo(self))
     }
 }
 

@@ -399,13 +399,28 @@ impl TableRead {
         preds: &[ColumnPredicate],
         proj: Option<&[usize]>,
     ) -> Result<(Vec<VisibleRow>, ScanStats)> {
+        self.scan_filtered_with_fanout(preds, proj)
+            .map(|(rows, stats, _)| (rows, stats))
+    }
+
+    /// [`scan_filtered`](Self::scan_filtered), also returning the worker
+    /// fan-out the main-chain kernels ran with after the governor's clamp
+    /// (0 when no chunked kernel scan ran). The fan-out is schedule, not
+    /// work: it varies with the host and the OLTP load, so it is kept out
+    /// of the deterministic [`ScanStats`].
+    pub fn scan_filtered_with_fanout(
+        &self,
+        preds: &[ColumnPredicate],
+        proj: Option<&[usize]>,
+    ) -> Result<(Vec<VisibleRow>, ScanStats, usize)> {
         self.check_projection(proj)?;
         for p in preds {
             self.schema_col(p.column())?;
         }
         let mut stats = ScanStats::default();
+        let mut fanout = 0;
         if preds.is_empty() {
-            return Ok((self.collect_rows_projected(proj), stats));
+            return Ok((self.collect_rows_projected(proj), stats, fanout));
         }
         let cols: Vec<usize> = preds.iter().map(|p| p.column()).collect();
         let mut out = Vec::new();
@@ -497,7 +512,7 @@ impl TableRead {
                 })
                 .collect();
             let workers = self.scan_workers(chunks.len());
-            stats.effective_parallelism = workers;
+            fanout = workers;
             let scan_epoch = self.table.governor.epoch();
             let produced = map_indexed(chunks.len(), workers, |ci| {
                 // Chunk-boundary cooperation: surrender the timeslice when
@@ -607,7 +622,7 @@ impl TableRead {
                 });
             }
         }
-        Ok((out, stats))
+        Ok((out, stats, fanout))
     }
 
     /// Count visible rows. Wholly-visible parts contribute their length,

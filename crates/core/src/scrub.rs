@@ -23,7 +23,7 @@
 //! [`MergeDaemon`]: hana_merge::MergeDaemon
 
 use hana_common::ScrubConfig;
-use hana_merge::MergeTarget;
+use hana_merge::{MergePass, MergeTarget};
 use hana_persist::Persistence;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -63,21 +63,21 @@ impl Scrubber {
 }
 
 impl MergeTarget for Scrubber {
-    fn maybe_merge(&self) -> hana_common::Result<bool> {
+    fn maybe_merge(&self) -> hana_common::Result<MergePass> {
         if self.cfg.batch_pages == 0 {
-            return Ok(false);
+            return Ok(MergePass::default());
         }
         {
             let mut last = self.last_run.lock();
             if let Some(t) = *last {
                 if t.elapsed() < self.min_gap {
-                    return Ok(false);
+                    return Ok(MergePass::default());
                 }
             }
             *last = Some(Instant::now());
         }
         self.persist.scrub_tick(self.cfg.batch_pages);
         // Never count as a merge, never arm the daemon's failure backoff.
-        Ok(false)
+        Ok(MergePass::default())
     }
 }

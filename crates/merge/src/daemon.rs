@@ -29,18 +29,22 @@ const MAX_BACKOFF: Duration = Duration::from_secs(30);
 /// Cap on the doubling exponent (2^6 = 64× the poll interval).
 const MAX_BACKOFF_SHIFT: u32 = 6;
 
+/// What one [`MergeTarget::maybe_merge`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MergePass {
+    /// Whether any merge ran.
+    pub merged: bool,
+    /// Metrics of the delta-to-main merge *this pass* ran, if it ran one —
+    /// so the daemon counts every delta merge exactly once.
+    pub delta: Option<MergeMetrics>,
+}
+
 /// Something the daemon can drive — typically a unified table.
 pub trait MergeTarget: Send + Sync {
-    /// Check thresholds and run any due merge. Returns `true` if a merge
-    /// happened. Retryable errors are fine; the daemon just tries again on
-    /// the next tick (the paper's failed-merge retry semantics).
-    fn maybe_merge(&self) -> hana_common::Result<bool>;
-
-    /// Metrics of the most recent delta-to-main merge, if the target
-    /// tracks them. Used for the daemon's aggregate statistics.
-    fn last_merge_metrics(&self) -> Option<MergeMetrics> {
-        None
-    }
+    /// Check thresholds and run any due merge. Retryable errors are fine;
+    /// the daemon just tries again on the next tick (the paper's
+    /// failed-merge retry semantics).
+    fn maybe_merge(&self) -> hana_common::Result<MergePass>;
 }
 
 enum Msg {
@@ -244,12 +248,12 @@ fn worker_loop(
                     }
                     counters.attempts.fetch_add(1, Ordering::Relaxed);
                     match slot.target.maybe_merge() {
-                        Ok(did) => {
+                        Ok(pass) => {
                             slot.fail_streak.store(0, Ordering::Relaxed);
                             slot.backoff_until_ns.store(0, Ordering::Release);
-                            if did {
+                            if pass.merged {
                                 counters.merges_done.fetch_add(1, Ordering::SeqCst);
-                                if let Some(m) = slot.target.last_merge_metrics() {
+                                if let Some(m) = pass.delta {
                                     counters
                                         .merge_nanos
                                         .fetch_add(m.duration.as_nanos() as u64, Ordering::Relaxed);
@@ -306,21 +310,62 @@ mod tests {
         merge_until: usize,
     }
 
-    impl MergeTarget for Counter {
-        fn maybe_merge(&self) -> hana_common::Result<bool> {
-            let n = self.calls.fetch_add(1, Ordering::SeqCst);
-            Ok(n < self.merge_until)
+    fn metrics() -> MergeMetrics {
+        MergeMetrics {
+            duration: Duration::from_nanos(100),
+            rows_in: 10,
+            rows_out: 8,
+            columns: 4,
+            parallel_workers: 2,
         }
+    }
 
-        fn last_merge_metrics(&self) -> Option<MergeMetrics> {
-            Some(MergeMetrics {
-                duration: Duration::from_nanos(100),
-                rows_in: 10,
-                rows_out: 8,
-                columns: 4,
-                parallel_workers: 2,
+    impl MergeTarget for Counter {
+        fn maybe_merge(&self) -> hana_common::Result<MergePass> {
+            let merged = self.calls.fetch_add(1, Ordering::SeqCst) < self.merge_until;
+            Ok(MergePass {
+                merged,
+                delta: merged.then(metrics),
             })
         }
+    }
+
+    /// A table-like target: its first pass runs a delta merge, every later
+    /// pass only an L1→L2 merge.
+    struct DeltaThenL1 {
+        calls: AtomicUsize,
+    }
+
+    impl MergeTarget for DeltaThenL1 {
+        fn maybe_merge(&self) -> hana_common::Result<MergePass> {
+            let first = self.calls.fetch_add(1, Ordering::SeqCst) == 0;
+            Ok(MergePass {
+                merged: true,
+                delta: first.then(metrics),
+            })
+        }
+    }
+
+    #[test]
+    fn delta_merge_counted_once_across_l1_only_passes() {
+        let target = Arc::new(DeltaThenL1 {
+            calls: AtomicUsize::new(0),
+        });
+        let daemon = MergeDaemon::spawn(
+            vec![Arc::clone(&target) as Arc<dyn MergeTarget>],
+            Duration::from_millis(1),
+        );
+        for _ in 0..400 {
+            if daemon.merges_done() >= 5 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let stats = daemon.stats();
+        assert!(stats.merges_done >= 5, "{stats:?}");
+        assert_eq!(stats.rows_in, 10, "one delta merge, counted once");
+        assert_eq!(stats.rows_out, 8);
+        assert_eq!(stats.merge_time, Duration::from_nanos(100));
     }
 
     fn counter(merge_until: usize) -> Arc<Counter> {
@@ -418,7 +463,7 @@ mod tests {
     }
 
     impl MergeTarget for AlwaysFails {
-        fn maybe_merge(&self) -> hana_common::Result<bool> {
+        fn maybe_merge(&self) -> hana_common::Result<MergePass> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             Err(hana_common::HanaError::Io(std::io::Error::other(
                 "device gone",

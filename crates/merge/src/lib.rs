@@ -45,7 +45,7 @@ pub mod resort;
 mod survivors;
 
 pub use classic::{classic_merge, DeltaMergeOutcome, MergeMetrics};
-pub use daemon::{DaemonStats, MergeDaemon, MergeTarget};
+pub use daemon::{DaemonStats, MergeDaemon, MergePass, MergeTarget};
 pub use l1_to_l2::{l1_to_l2_merge, L1MergeOutcome};
 pub use parallel::{effective_workers, map_indexed};
 pub use partial::partial_merge;

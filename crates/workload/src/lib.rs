@@ -19,8 +19,7 @@ pub use datagen::DataGen;
 pub use mixed::{LatencyStats, MixedReport, MixedWorkload};
 pub use olap::{OlapQuery, OlapRunner};
 pub use oltp::{
-    DurableOltp, OltpDriver, OltpEngine, OltpOp, OltpReport, PartitionedOltp,
-    PartitionedOltpReport, RowOltp, UnifiedOltp,
+    GroupOltp, OltpDriver, OltpEngine, OltpOp, OltpReport, PartitionedOltpReport, RowOltp,
 };
 pub use sales::{SalesDataset, SalesSchema};
 pub use zipf::Zipf;

@@ -10,7 +10,7 @@
 
 use crate::datagen::DataGen;
 use crate::olap::{OlapQuery, OlapRunner, ALL_QUERIES};
-use crate::oltp::{DurableOltp, OltpDriver, OltpEngine};
+use crate::oltp::{GroupOltp, OltpDriver, OltpEngine};
 use crate::sales::SalesDataset;
 use hana_common::Result;
 use hana_core::Database;
@@ -111,7 +111,7 @@ impl MixedWorkload {
     /// Run against a loaded dataset; the caller decides whether the merge
     /// daemon runs.
     ///
-    /// Writers commit through the database façade ([`DurableOltp`]; the
+    /// Writers commit through the database façade ([`GroupOltp`]; the
     /// group-commit pipeline when durable, plain MVCC commit in memory),
     /// so the resource governor's write-pressure signal sees every commit.
     /// Per-operation latencies are recorded per class and folded into
@@ -139,10 +139,7 @@ impl MixedWorkload {
                 let confl = Arc::clone(&conflicts);
                 let lat = Arc::clone(&oltp_lat);
                 let driver = Arc::clone(&driver);
-                let engine = DurableOltp {
-                    db: Arc::clone(db),
-                    table: Arc::clone(&ds.sales),
-                };
+                let engine = GroupOltp::new(Arc::clone(db), Arc::clone(&ds.sales));
                 scope.spawn(move || {
                     let mut gen = DataGen::new(1000 + w as u64);
                     let mut local = Vec::new();

@@ -5,13 +5,14 @@
 //! selective point queries — "thousands of concurrent users and
 //! transactions with high update load and very selective point queries".
 //! The driver runs against either engine through the [`OltpEngine`] trait,
-//! so the unified table and the row baseline execute the *same* op stream.
+//! so the unified table ([`GroupOltp`]) and the row baseline ([`RowOltp`])
+//! execute the *same* op stream.
 
 use crate::datagen::DataGen;
 use crate::sales::{fact_cols, SalesSchema};
 use crate::zipf::Zipf;
 use hana_common::{ColumnId, HanaError, Result, Value};
-use hana_core::{Database, PartitionedTable, UnifiedTable};
+use hana_core::{Database, IntoGroup, PartitionedTable};
 use hana_rowstore::RowTable;
 use hana_txn::{IsolationLevel, TxnManager};
 use rand::Rng;
@@ -55,156 +56,47 @@ pub trait OltpEngine: Send + Sync {
     fn execute(&self, op: &OltpOp) -> Result<bool>;
 }
 
-/// Unified-table implementation.
-pub struct UnifiedOltp {
-    /// The fact table.
-    pub table: Arc<UnifiedTable>,
-    /// Shared transaction manager.
-    pub mgr: Arc<TxnManager>,
-}
-
-impl OltpEngine for UnifiedOltp {
-    fn execute(&self, op: &OltpOp) -> Result<bool> {
-        let mut txn = self.mgr.begin(IsolationLevel::Transaction);
-        let key_col = ColumnId(fact_cols::ORDER_ID as u16);
-        let out = match op {
-            OltpOp::NewOrder(row) => self.table.insert(&txn, row.clone()).map(|_| true),
-            OltpOp::Payment { order_id, delta } => {
-                let read = self.table.read(&txn);
-                let rows = read.point(fact_cols::ORDER_ID, &Value::Int(*order_id))?;
-                match rows.first() {
-                    None => Err(HanaError::NotFound(format!("order {order_id}"))),
-                    Some(row) => {
-                        let amount = row[fact_cols::AMOUNT].as_int().unwrap_or(0) + delta;
-                        self.table
-                            .update_where(
-                                &txn,
-                                key_col,
-                                &Value::Int(*order_id),
-                                &[
-                                    (ColumnId(fact_cols::AMOUNT as u16), Value::Int(amount)),
-                                    (ColumnId(fact_cols::STATUS as u16), Value::Int(1)),
-                                ],
-                            )
-                            .map(|_| true)
-                    }
-                }
-            }
-            OltpOp::Lookup(id) => {
-                let read = self.table.read(&txn);
-                Ok(!read
-                    .point(fact_cols::ORDER_ID, &Value::Int(*id))?
-                    .is_empty())
-            }
-            OltpOp::Cancel(id) => self
-                .table
-                .delete_where(&txn, key_col, &Value::Int(*id))
-                .map(|_| true),
-        };
-        match out {
-            Ok(found) => {
-                txn.commit()?;
-                self.table.finish_txn(txn.id());
-                Ok(found)
-            }
-            Err(e) => {
-                let _ = txn.abort();
-                self.table.finish_txn(txn.id());
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Unified-table implementation that commits through the database façade,
-/// so commit records go through the group-commit pipeline and each
+/// The unified-table engine. Every op routes through the table's partition
+/// group to the one shard its order id hashes to (a plain table is its own
+/// 1-shard group) and commits through [`Database::commit`] — the production
+/// commit path, so commit records ride the group-commit pipeline and each
 /// `execute` returns only once its transaction is durable (when the
-/// database is). This is the engine the fig-10 group-commit experiment
-/// drives from many writer threads.
-pub struct DurableOltp {
-    /// The database owning `table` (routes commit/abort + lock release).
+/// database is).
+pub struct GroupOltp {
+    /// The database owning the group (routes commit/abort + lock release).
     pub db: Arc<Database>,
-    /// The fact table.
-    pub table: Arc<UnifiedTable>,
-}
-
-impl OltpEngine for DurableOltp {
-    fn execute(&self, op: &OltpOp) -> Result<bool> {
-        let mut txn = self.db.begin(IsolationLevel::Transaction);
-        let key_col = ColumnId(fact_cols::ORDER_ID as u16);
-        let out = match op {
-            OltpOp::NewOrder(row) => self.table.insert(&txn, row.clone()).map(|_| true),
-            OltpOp::Payment { order_id, delta } => {
-                let read = self.table.read(&txn);
-                let rows = read.point(fact_cols::ORDER_ID, &Value::Int(*order_id))?;
-                match rows.first() {
-                    None => Err(HanaError::NotFound(format!("order {order_id}"))),
-                    Some(row) => {
-                        let amount = row[fact_cols::AMOUNT].as_int().unwrap_or(0) + delta;
-                        self.table
-                            .update_where(
-                                &txn,
-                                key_col,
-                                &Value::Int(*order_id),
-                                &[
-                                    (ColumnId(fact_cols::AMOUNT as u16), Value::Int(amount)),
-                                    (ColumnId(fact_cols::STATUS as u16), Value::Int(1)),
-                                ],
-                            )
-                            .map(|_| true)
-                    }
-                }
-            }
-            OltpOp::Lookup(id) => {
-                let read = self.table.read(&txn);
-                Ok(!read
-                    .point(fact_cols::ORDER_ID, &Value::Int(*id))?
-                    .is_empty())
-            }
-            OltpOp::Cancel(id) => self
-                .table
-                .delete_where(&txn, key_col, &Value::Int(*id))
-                .map(|_| true),
-        };
-        match out {
-            Ok(found) => {
-                self.db.commit(&mut txn)?;
-                Ok(found)
-            }
-            Err(e) => {
-                let _ = self.db.abort(&mut txn);
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Hash-partitioned unified-table implementation: every op routes through
-/// the [`PartitionedTable`], touching only the shard its order id hashes
-/// to, and commits through the database façade (group-commit pipeline).
-/// This is the engine the fig-11 partition-scaling experiment drives.
-pub struct PartitionedOltp {
-    /// The database owning the partition group.
-    pub db: Arc<Database>,
-    /// The partitioned fact table.
+    /// The fact table's partition group.
     pub table: Arc<PartitionedTable>,
 }
 
-impl OltpEngine for PartitionedOltp {
+impl GroupOltp {
+    /// An engine over `table` (a partition group or a plain table) of `db`.
+    pub fn new(db: Arc<Database>, table: impl IntoGroup) -> Self {
+        GroupOltp {
+            db,
+            table: table.into_group(),
+        }
+    }
+}
+
+impl OltpEngine for GroupOltp {
     fn execute(&self, op: &OltpOp) -> Result<bool> {
         let mut txn = self.db.begin(IsolationLevel::Transaction);
+        let key_col = ColumnId(fact_cols::ORDER_ID as u16);
         let out = match op {
             OltpOp::NewOrder(row) => self.table.insert(&txn, row.clone()).map(|_| true),
             OltpOp::Payment { order_id, delta } => {
                 let key = Value::Int(*order_id);
-                let rows = self.table.point(txn.read_snapshot(), &key)?;
+                let shard = self.table.route(&key);
+                let rows = shard.read(&txn).point(fact_cols::ORDER_ID, &key)?;
                 match rows.first() {
                     None => Err(HanaError::NotFound(format!("order {order_id}"))),
                     Some(row) => {
                         let amount = row[fact_cols::AMOUNT].as_int().unwrap_or(0) + delta;
-                        self.table
+                        shard
                             .update_where(
                                 &txn,
+                                key_col,
                                 &key,
                                 &[
                                     (ColumnId(fact_cols::AMOUNT as u16), Value::Int(amount)),
@@ -215,14 +107,21 @@ impl OltpEngine for PartitionedOltp {
                     }
                 }
             }
-            OltpOp::Lookup(id) => Ok(!self
-                .table
-                .point(txn.read_snapshot(), &Value::Int(*id))?
-                .is_empty()),
-            OltpOp::Cancel(id) => self
-                .table
-                .delete_where(&txn, &Value::Int(*id))
-                .map(|_| true),
+            OltpOp::Lookup(id) => {
+                let key = Value::Int(*id);
+                let shard = self.table.route(&key);
+                Ok(!shard
+                    .read(&txn)
+                    .point(fact_cols::ORDER_ID, &key)?
+                    .is_empty())
+            }
+            OltpOp::Cancel(id) => {
+                let key = Value::Int(*id);
+                self.table
+                    .route(&key)
+                    .delete_where(&txn, key_col, &key)
+                    .map(|_| true)
+            }
         };
         match out {
             Ok(found) => {
@@ -428,7 +327,7 @@ impl OltpDriver {
     /// per-partition throughput.
     pub fn run_concurrent_partitioned(
         &self,
-        engine: &PartitionedOltp,
+        engine: &GroupOltp,
         threads: usize,
         ops_per_thread: usize,
         seed: u64,
@@ -553,10 +452,7 @@ mod tests {
     fn unified_engine_executes_mix() {
         let db = Database::in_memory();
         let ds = SalesDataset::load(&db, TableConfig::small(), 300, 50, 20, 7).unwrap();
-        let engine = UnifiedOltp {
-            table: Arc::clone(&ds.sales),
-            mgr: Arc::clone(db.txn_manager()),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let driver = OltpDriver::new(300, 50, 20, 0.9);
         let mut gen = DataGen::new(11);
         let report = driver.run(&engine, &mut gen, 400).unwrap();
@@ -591,10 +487,7 @@ mod tests {
         // on filesystems where fsync is nearly free.
         db.set_commit_config(hana_common::CommitConfig::default().with_max_wait_us(2000));
         let ds = SalesDataset::load(&db, TableConfig::small(), 200, 50, 20, 7).unwrap();
-        let engine = DurableOltp {
-            db: Arc::clone(&db),
-            table: Arc::clone(&ds.sales),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let driver = OltpDriver::new(200, 50, 20, 0.9);
         let report = driver.run_concurrent(&engine, 4, 60, 11).unwrap();
         assert!(report.committed > 150, "{report:?}");
@@ -614,10 +507,7 @@ mod tests {
                 hana_common::PartitionConfig::new(4, fact_cols::ORDER_ID),
             )
             .unwrap();
-        let engine = PartitionedOltp {
-            db: Arc::clone(&db),
-            table: Arc::clone(&pt),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&pt));
         let driver = OltpDriver::new(0, 50, 20, 0.9).with_mix((50, 30, 15, 5));
         let report = driver
             .run_concurrent_partitioned(&engine, 4, 80, 9)
@@ -651,10 +541,7 @@ mod tests {
         // conflict handling).
         let db = Database::in_memory();
         let ds = SalesDataset::load(&db, TableConfig::small(), 200, 50, 20, 7).unwrap();
-        let unified = UnifiedOltp {
-            table: Arc::clone(&ds.sales),
-            mgr: Arc::clone(db.txn_manager()),
-        };
+        let unified = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let mgr2 = TxnManager::new();
         let row = RowOltp {
             table: Arc::new(

@@ -12,7 +12,7 @@
 use hana_calc::graph::PipeOp;
 use hana_calc::{optimize, AggFunc, CalcGraph, CalcNode, Executor, Predicate, Query};
 use hana_common::{TableConfig, Value};
-use hana_core::Database;
+use hana_core::{Database, IntoGroup};
 use hana_engines::olap::{Dimension, StarJoin};
 use hana_txn::{IsolationLevel, Snapshot};
 use hana_workload::sales::{fact_cols, SalesDataset};
@@ -27,7 +27,7 @@ fn main() -> hana_common::Result<()> {
     // --- The Fig-3 shape: one filtered scan, two consumers, conv, script.
     let mut g = CalcGraph::new();
     let scan = g.add(CalcNode::TableSource {
-        table: Arc::clone(&ds.sales).into(),
+        table: Arc::clone(&ds.sales).into_group(),
         fused_filter: Predicate::True,
         projection: None,
     });

@@ -8,7 +8,7 @@ use hana_common::TableConfig;
 use hana_core::Database;
 use hana_txn::{Snapshot, TxnManager};
 use hana_workload::olap::ALL_QUERIES;
-use hana_workload::oltp::{RowOltp, UnifiedOltp};
+use hana_workload::oltp::{GroupOltp, RowOltp};
 use hana_workload::sales::load_row_baseline;
 use hana_workload::{DataGen, MixedWorkload, OlapRunner, OltpDriver, SalesSchema};
 use std::sync::Arc;
@@ -78,10 +78,7 @@ fn main() -> hana_common::Result<()> {
     // its own driver so generated order ids never collide.
     let n_ops = 20_000;
 
-    let unified_engine = UnifiedOltp {
-        table: Arc::clone(&ds2.sales),
-        mgr: Arc::clone(db2.txn_manager()),
-    };
+    let unified_engine = GroupOltp::new(Arc::clone(&db2), Arc::clone(&ds2.sales));
     let driver = OltpDriver::new(ORDERS, CUSTOMERS, PRODUCTS, 0.9);
     let mut gen = DataGen::new(99);
     let t0 = Instant::now();

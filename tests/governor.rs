@@ -17,7 +17,7 @@ use hana_common::{GovernorConfig, HanaError, TableConfig};
 use hana_core::Database;
 use hana_txn::Snapshot;
 use hana_workload::olap::{OlapQuery, ALL_QUERIES};
-use hana_workload::oltp::{DurableOltp, OltpDriver};
+use hana_workload::oltp::{GroupOltp, OltpDriver};
 use hana_workload::{DataGen, OlapRunner, SalesDataset};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -42,10 +42,7 @@ fn build(
     let ds = SalesDataset::load(&db, cfg, orders, 20, 10, seed).unwrap();
     if ops > 0 {
         let driver = OltpDriver::new(orders, 20, 10, 0.9);
-        let engine = DurableOltp {
-            db: Arc::clone(&db),
-            table: Arc::clone(&ds.sales),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let mut gen = DataGen::new(seed ^ 0x00C0_FFEE);
         driver.run(&engine, &mut gen, ops).unwrap();
     }
@@ -200,10 +197,7 @@ fn writers_commit_while_scans_are_queued() {
         // The write path must not touch the scan bucket: 50 commits land
         // while the queue is still full.
         let driver = OltpDriver::new(200, 20, 10, 0.9).with_mix((100, 0, 0, 0));
-        let engine = DurableOltp {
-            db: Arc::clone(&db),
-            table: Arc::clone(&ds.sales),
-        };
+        let engine = GroupOltp::new(Arc::clone(&db), Arc::clone(&ds.sales));
         let mut gen = DataGen::new(42);
         let rep = driver.run(&engine, &mut gen, 50).unwrap();
         assert!(rep.committed >= 50, "writers starved: {rep:?}");
