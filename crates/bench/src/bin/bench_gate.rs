@@ -3,7 +3,7 @@
 //! Usage: `bench_gate <repro.json> <baseline.json>`
 //!
 //! Reads the JSON report the repro harness wrote (`REPRO_JSON`), extracts a
-//! fixed set of headline metrics from the fig04/fig05/fig10 sections, and
+//! fixed set of headline metrics from the figure and M1 sections, and
 //! compares each against the committed `bench/baseline.json`:
 //!
 //! * prints a markdown delta table (also appended to `$GITHUB_STEP_SUMMARY`
@@ -212,6 +212,17 @@ const METRICS: &[MetricSpec] = &[
         col: "verified/in-memory",
         better: Better::Lower,
         slack: 2.0,
+    },
+    MetricSpec {
+        id: "m1_unified_vs_row_ratio",
+        section: "M1 OLTP",
+        // The paper's thesis: unified-table time per OLTP op over the
+        // row store's, both on this host, so the ratio is host-independent
+        // and gated without extra slack.
+        row: &[("engine", "unified table")],
+        col: "time/op vs row store",
+        better: Better::Lower,
+        slack: 1.0,
     },
 ];
 

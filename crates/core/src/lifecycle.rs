@@ -190,16 +190,23 @@ impl UnifiedTable {
     /// Drain the whole L1 into the L2 (repeated merge steps until empty or
     /// blocked). Returns rows moved.
     pub fn drain_l1(&self) -> Result<usize> {
+        self.merge_l1_steps(usize::MAX, |rows| rows > 0)
+    }
+
+    /// Repeat [`merge_l1`](Self::merge_l1) while `more(L1 rows)` holds, at
+    /// most `max_steps` times, stopping early once a step leaves the L1
+    /// length unchanged (blocked on an in-flight transaction). Returns rows
+    /// moved.
+    fn merge_l1_steps(&self, max_steps: usize, more: impl Fn(usize) -> bool) -> Result<usize> {
         let mut total = 0;
-        loop {
+        for _ in 0..max_steps {
             let before = self.l1.len();
-            if before == 0 {
+            if !more(before) {
                 break;
             }
-            let moved = self.merge_l1()?;
-            total += moved;
+            total += self.merge_l1()?;
             if self.l1.len() == before {
-                break; // blocked on an in-flight transaction
+                break;
             }
         }
         Ok(total)
@@ -342,11 +349,18 @@ impl UnifiedTable {
 
     /// One policy pass ([`maybe_merge_once`](Self::maybe_merge_once)),
     /// reporting the metrics of the delta merge it ran, if any.
+    ///
+    /// The pass drains the L1 backlog it found in `l1_max_rows` steps: it
+    /// repeats [`merge_l1`](Self::merge_l1) while the L1 policy holds, at
+    /// most ⌈L1 rows at pass start ÷ `l1_max_rows`⌉ times, so it never
+    /// chases a concurrent writer, and each step's exclusive publication
+    /// stays bounded by `l1_max_rows`. One step per pass would cap the
+    /// drain rate at one step per governor window while OLTP is hot.
     fn merge_pass(&self) -> Result<MergePass> {
         let mut pass = MergePass::default();
-        if decide_l1_merge(&self.config, self.l1.len()) {
-            pass.merged |= self.merge_l1()? > 0;
-        }
+        let backlog_steps = self.l1.len().div_ceil(self.config.l1_max_rows.max(1));
+        pass.merged =
+            self.merge_l1_steps(backlog_steps, |rows| decide_l1_merge(&self.config, rows))? > 0;
         let (decision, has_frozen) = {
             let state = self.state.read();
             let d = decide_delta_merge(&self.config, &state.main, state.l2.len());
@@ -603,5 +617,80 @@ mod tests {
         assert_eq!(s.main_parts, 1);
         assert!(s.main_bytes > 0);
         assert!(s.main_data_bytes <= s.main_bytes);
+    }
+
+    fn l1_steps_config() -> TableConfig {
+        TableConfig {
+            l1_max_rows: 16,
+            l2_max_rows: 1 << 20,
+            ..TableConfig::default()
+        }
+    }
+
+    /// Every id in `0..n` is visible exactly once, and nothing else.
+    fn assert_each_visible_once(mgr: &Arc<TxnManager>, t: &Arc<UnifiedTable>, n: i64) {
+        let r = mgr.begin(IsolationLevel::Transaction);
+        let read = t.read(&r);
+        assert_eq!(read.count(), n as usize);
+        for i in 0..n {
+            assert_eq!(read.point(0, &Value::Int(i)).unwrap().len(), 1, "id {i}");
+        }
+    }
+
+    #[test]
+    fn one_pass_drains_the_l1_backlog() {
+        let (mgr, t) = table(l1_steps_config());
+        let step = t.config.l1_max_rows;
+        fill(&mgr, &t, 0, 5 * step as i64);
+        assert!(t.maybe_merge_once().unwrap());
+        assert!(t.l1.len() < step, "{} rows left in L1", t.l1.len());
+        assert_each_visible_once(&mgr, &t, 5 * step as i64);
+    }
+
+    #[test]
+    fn pass_takes_at_most_the_steps_its_starting_backlog_needs() {
+        let (mgr, t) = table(l1_steps_config());
+        let step = t.config.l1_max_rows;
+        let mut next = 0i64;
+        // Whether a writer outpaces a pass depends on scheduling, so run
+        // enough rounds that an uncapped pass would be caught chasing one.
+        for _ in 0..50 {
+            let top_up = (4 * step).saturating_sub(t.l1.len()) as i64;
+            fill(&mgr, &t, next, next + top_up);
+            next += top_up;
+            let backlog = t.l1.len();
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            // The writer starts once the first step runs, after the pass
+            // has sized itself, and keeps inserting until the pass returns.
+            let writer = {
+                let (mgr, t, stop) = (Arc::clone(&mgr), Arc::clone(&t), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !t.l1_merge_running.load(Ordering::SeqCst) {
+                        if stop.load(Ordering::SeqCst) {
+                            return next;
+                        }
+                        std::hint::spin_loop();
+                    }
+                    let mut id = next;
+                    while !stop.load(Ordering::SeqCst) {
+                        fill(&mgr, &t, id, id + 8);
+                        id += 8;
+                    }
+                    id
+                })
+            };
+            let published = || t.publication_stall_events.load(Ordering::Relaxed);
+            let before = published();
+            assert!(t.maybe_merge_once().unwrap());
+            let steps = published() - before;
+            stop.store(true, Ordering::SeqCst);
+            next = writer.join().unwrap();
+            let cap = backlog.div_ceil(step) as u64;
+            assert!(
+                (1..=cap).contains(&steps),
+                "{steps} steps for a backlog of {backlog} rows at {step} per step"
+            );
+        }
+        assert_each_visible_once(&mgr, &t, next);
     }
 }

@@ -14,7 +14,10 @@
 //! per-snapshot bitmap (see [`MainPart::cached_visibility`]), then fixed-size
 //! row chunks fan out over a bounded worker pool
 //! ([`hana_merge::map_indexed`]) and reassemble in chain order, so a
-//! parallel scan is bit-identical to the serial one.
+//! parallel scan is bit-identical to the serial one. Index-probe hit lists
+//! (point, range) read only their hits' own stamps when a part has few
+//! hits (see `TableRead::retain_visible_hits`), so a point lookup costs
+//! O(hits), not O(part rows).
 
 use crate::filter::{zone_admits, ColumnPredicate, ScanStats};
 use crate::scan::{plan_chunks, plan_ranges, PartVisibility};
@@ -31,8 +34,20 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[allow(unused_imports)] // referenced by the module docs
 use hana_store::MainPart;
+
+/// The cutover of [`TableRead::retain_visible_hits`]: a part resolves its
+/// hits per hit while `hits * PER_HIT_STAMP_COST < part.len()`.
+///
+/// Counted in cache lines, a bitmap build streams 16 bytes of stamps per
+/// row (`len / 4` lines) while a per-hit check touches two lines (its begin
+/// and its end stamp), so per-hit checks already touch fewer lines at
+/// `hits * 8 < len`. Streamed lines are cheaper than random misses, and a
+/// built bitmap may be reused by later statements at the same snapshot, so
+/// the cutover keeps a further factor of 8 in the build's favour: per-hit
+/// resolution applies while a part has fewer hits than its bitmap has
+/// 64-bit words.
+const PER_HIT_STAMP_COST: usize = 64;
 
 /// A consistent, merge-proof view of one table under one snapshot.
 pub struct TableRead {
@@ -210,20 +225,33 @@ impl TableRead {
 
     /// Resolve the visibility of main part `pi` under this snapshot:
     /// the wholly-visible summary when it applies, a cached bitmap when one
-    /// matches, or a freshly computed bitmap (cached for later statements
-    /// unless the snapshot timestamp lies in the future — time travel —
-    /// where a later commit could still slide under it).
+    /// matches, or a freshly computed bitmap. Whole-part readers use this;
+    /// hit lists go through [`retain_visible_hits`](Self::retain_visible_hits).
     pub(crate) fn part_visibility(&self, pi: usize) -> PartVisibility {
         let part = &self.main.parts()[pi];
+        self.known_visibility(part)
+            .unwrap_or_else(|| self.build_visibility(part))
+    }
+
+    /// The part's visibility when it costs no stamp reads: the
+    /// wholly-visible summary, or a bitmap an earlier statement cached at
+    /// this snapshot.
+    fn known_visibility(&self, part: &MainPart) -> Option<PartVisibility> {
         let ts = self.snap.ts();
         if part.fully_visible_at(ts) {
-            return PartVisibility::All;
+            return Some(PartVisibility::All);
         }
+        let entry = part.cached_visibility(ts, self.snap.txn())?;
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Some(PartVisibility::Filtered(entry))
+    }
+
+    /// Build the part's visibility bitmap from its raw stamps (cached for
+    /// later statements unless the snapshot timestamp lies in the future —
+    /// time travel — where a later commit could still slide under it).
+    fn build_visibility(&self, part: &MainPart) -> PartVisibility {
+        let ts = self.snap.ts();
         let txn = self.snap.txn();
-        if let Some(entry) = part.cached_visibility(ts, txn) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return PartVisibility::Filtered(entry);
-        }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         // Capture the end-stamp version *before* reading any stamp: a
         // deletion landing mid-scan then invalidates the cached entry
@@ -252,6 +280,50 @@ impl TableRead {
             part.store_visibility(Arc::clone(&entry), self.table.mgr.watermark());
         }
         PartVisibility::Filtered(entry)
+    }
+
+    /// Keep only the visible entries of a main hit list (index-probe
+    /// results: point, range and the equality route of a filtered scan).
+    ///
+    /// Each part the list touches resolves once, cheapest first:
+    /// 1. the wholly-visible summary;
+    /// 2. a bitmap cached at this snapshot;
+    /// 3. with fewer than `part.len() / PER_HIT_STAMP_COST` hits in the
+    ///    part, each hit's own `begin`/`end` stamps — the predicate the
+    ///    bitmap build applies per row, so the answer is the same;
+    /// 4. otherwise a bitmap built (and cached) over the whole part.
+    ///
+    /// The cutover weighs the stamp reads of the two ways (see
+    /// [`PER_HIT_STAMP_COST`]). Under OLTP every commit moves the snapshot
+    /// and deletions bump the part's end version, so a cached bitmap is
+    /// rarely found: a point lookup then costs O(hits) stamp reads instead
+    /// of O(part rows).
+    fn retain_visible_hits(&self, hits: &mut Vec<PartHit>) {
+        let parts = self.main.parts();
+        let mut per_part = vec![0usize; parts.len()];
+        for h in hits.iter() {
+            per_part[h.part] += 1;
+        }
+        // `None`: the part has no hits, or its hits check their own stamps.
+        let vis: Vec<Option<PartVisibility>> = parts
+            .iter()
+            .zip(&per_part)
+            .map(|(part, &n)| {
+                if n == 0 {
+                    return None;
+                }
+                self.known_visibility(part).or_else(|| {
+                    (n * PER_HIT_STAMP_COST >= part.len()).then(|| self.build_visibility(part))
+                })
+            })
+            .collect();
+        hits.retain(|h| match &vis[h.part] {
+            Some(v) => v.is_visible(h.pos),
+            None => {
+                let part = &parts[h.part];
+                self.visible(part.begin(h.pos), part.end(h.pos))
+            }
+        });
     }
 
     /// Materialize one main row under a projection (see [`l2_row`] for the
@@ -443,26 +515,20 @@ impl TableRead {
             // Selective point conjunct: inverted-index probe instead of a
             // scan; remaining conjuncts verify on raw codes per hit.
             stats.index_probes += 1;
-            let hits = self.main.positions_eq(col, v);
+            let mut hits = self.main.positions_eq(col, v);
             stats.code_filtered_rows += hits.len() as u64;
-            let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
-            vis.resize_with(parts.len(), || None);
-            for h in hits {
-                let part = &parts[h.part];
-                if !matchers[h.part]
+            hits.retain(|h| {
+                matchers[h.part]
                     .iter()
                     .zip(&cols)
-                    .all(|(m, &c)| m.matches(part.code_at(h.pos, c)))
-                {
-                    continue;
-                }
-                let v = vis[h.part].get_or_insert_with(|| self.part_visibility(h.part));
-                if v.is_visible(h.pos) {
-                    out.push(VisibleRow {
-                        row_id: part.row_id(h.pos),
-                        values: self.main_row(h, proj, false),
-                    });
-                }
+                    .all(|(m, &c)| m.matches(parts[h.part].code_at(h.pos, c)))
+            });
+            self.retain_visible_hits(&mut hits);
+            for h in hits {
+                out.push(VisibleRow {
+                    row_id: parts[h.part].row_id(h.pos),
+                    values: self.main_row(h, proj, false),
+                });
             }
         } else {
             // Zone-map pruning: whole parts first, then chunks. A part whose
@@ -653,36 +719,24 @@ impl TableRead {
         n
     }
 
-    /// Filter a main-store hit list through the visibility summary/bitmaps
-    /// and materialize the surviving rows, fanning large lists out over the
-    /// scan pool (in-order reassembly keeps the output deterministic).
-    fn materialize_main_hits(&self, hits: &[PartHit], proj: Option<&[usize]>) -> Vec<Vec<Value>> {
-        if hits.is_empty() {
-            return Vec::new();
-        }
-        let parts = self.main.parts();
-        let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
-        vis.resize_with(parts.len(), || None);
-        for h in hits {
-            if vis[h.part].is_none() {
-                vis[h.part] = Some(self.part_visibility(h.part));
-            }
-        }
+    /// Filter a main-store hit list by visibility
+    /// ([`retain_visible_hits`](Self::retain_visible_hits)) and materialize
+    /// the surviving rows, fanning large lists out over the scan pool
+    /// (in-order reassembly keeps the output deterministic).
+    fn materialize_main_hits(
+        &self,
+        mut hits: Vec<PartHit>,
+        proj: Option<&[usize]>,
+    ) -> Vec<Vec<Value>> {
+        self.retain_visible_hits(&mut hits);
         let ranges = plan_ranges(hits.len());
         let workers = self.scan_workers(ranges.len());
         let produced = map_indexed(ranges.len(), workers, |ri| {
             let (start, end) = ranges[ri];
-            let mut rows = Vec::new();
-            for h in &hits[start..end] {
-                if vis[h.part]
-                    .as_ref()
-                    .expect("visibility resolved")
-                    .is_visible(h.pos)
-                {
-                    rows.push(self.main_row(*h, proj, false));
-                }
-            }
-            rows
+            hits[start..end]
+                .iter()
+                .map(|h| self.main_row(*h, proj, false))
+                .collect::<Vec<_>>()
         });
         produced.into_iter().flatten().collect()
     }
@@ -704,7 +758,7 @@ impl TableRead {
         self.schema_col(col)?;
         self.check_projection(proj)?;
         let hits = self.main.positions_eq(col, v);
-        let mut out = self.materialize_main_hits(&hits, proj);
+        let mut out = self.materialize_main_hits(hits, proj);
         let arity = self.table.schema.arity();
         if let Some((frozen, fence)) = &self.l2_frozen {
             for pos in frozen.positions_eq(col, v, *fence) {
@@ -763,7 +817,7 @@ impl TableRead {
                 })
         };
         let hits = self.main.positions_range(col, lo, hi);
-        let mut out = self.materialize_main_hits(&hits, proj);
+        let mut out = self.materialize_main_hits(hits, proj);
         let arity = self.table.schema.arity();
         if let Some((frozen, fence)) = &self.l2_frozen {
             for pos in frozen.positions_range(col, lo, hi, *fence) {
@@ -1428,5 +1482,202 @@ mod tests {
             rs.group_aggregate(1, 2).unwrap(),
             rp.group_aggregate(1, 2).unwrap()
         );
+    }
+
+    /// `n` rows bulk-loaded and merged into a single main part.
+    fn main_part_of(mgr: &Arc<TxnManager>, t: &Arc<UnifiedTable>, n: i64) {
+        let mut txn = mgr.begin(IsolationLevel::Transaction);
+        let rows = (0..n)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::str(if i % 2 == 0 { "even" } else { "odd" }),
+                    Value::double(i as f64),
+                ]
+            })
+            .collect();
+        t.bulk_load(&txn, rows).unwrap();
+        txn.commit().unwrap();
+        t.merge_delta_as(MergeDecision::Classic).unwrap();
+    }
+
+    #[test]
+    fn point_lookup_reads_only_its_hits_stamps() {
+        let (mgr, t) = setup();
+        main_part_of(&mgr, &t, 10_000);
+        // A committed deletion bumps the part's end version, so neither the
+        // wholly-visible summary nor any cached bitmap applies to a fresh
+        // snapshot.
+        let mut del = mgr.begin(IsolationLevel::Transaction);
+        t.delete_where(&del, hana_common::ColumnId(0), &Value::Int(7))
+            .unwrap();
+        del.commit().unwrap();
+        let reader = mgr.begin(IsolationLevel::Transaction);
+        let read = t.read(&reader);
+        let part = Arc::clone(&read.main().parts()[0]);
+        assert_eq!(part.len(), 10_000);
+        let cached = part.vis_cache_len();
+        assert_eq!(read.point(0, &Value::Int(42)).unwrap().len(), 1);
+        assert!(read.point(0, &Value::Int(7)).unwrap().is_empty());
+        assert_eq!(
+            read.vis_cache_stats(),
+            (0, 0),
+            "a point lookup built a bitmap"
+        );
+        assert_eq!(part.vis_cache_len(), cached);
+        // A hit list past the cutover still builds (and caches) one bitmap.
+        let lo = Value::Int(0);
+        let hi = Value::Int(1_000);
+        assert!(1_000 * PER_HIT_STAMP_COST >= part.len());
+        let rows = read
+            .range(0, Bound::Included(&lo), Bound::Excluded(&hi))
+            .unwrap();
+        assert_eq!(rows.len(), 999);
+        assert_eq!(read.vis_cache_stats(), (0, 1));
+        assert_eq!(part.vis_cache_len(), cached + 1);
+    }
+
+    /// A stamp-producing step of [`per_hit_visibility_matches_full_scan`].
+    #[derive(Debug, Clone)]
+    enum StampOp {
+        /// Committed deletion.
+        Delete(i64),
+        /// Committed update (closes the main version, adds one to L1).
+        Update(i64),
+        /// Deletion by a transaction left open: an uncommitted end mark.
+        OpenDelete(i64),
+        /// Deletion by the reader itself.
+        OwnDelete(i64),
+        /// Update by the reader itself.
+        OwnUpdate(i64),
+        /// Remember the current timestamp for a time-travel read.
+        Mark,
+    }
+
+    /// Rows in the property test's main part: ten hits per part sit exactly
+    /// at the cutover, so id ranges of 1..40 land on both sides of it.
+    const PROP_ROWS: i64 = 10 * PER_HIT_STAMP_COST as i64;
+
+    fn stamp_op() -> impl proptest::prelude::Strategy<Value = StampOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            3 => (0..PROP_ROWS).prop_map(StampOp::Delete),
+            3 => (0..PROP_ROWS).prop_map(StampOp::Update),
+            2 => (0..PROP_ROWS).prop_map(StampOp::OpenDelete),
+            2 => (0..PROP_ROWS).prop_map(StampOp::OwnDelete),
+            2 => (0..PROP_ROWS).prop_map(StampOp::OwnUpdate),
+            1 => Just(StampOp::Mark),
+        ]
+    }
+
+    /// Rows as sortable strings, for order-insensitive comparison.
+    fn sorted(rows: impl IntoIterator<Item = Vec<Value>>) -> Vec<String> {
+        let mut out: Vec<String> = rows.into_iter().map(|r| format!("{r:?}")).collect();
+        out.sort();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn per_hit_visibility_matches_full_scan(
+            ops in proptest::collection::vec(stamp_op(), 0..30),
+            ids in proptest::collection::vec(0..PROP_ROWS, 1..8),
+            spans in proptest::collection::vec((0..PROP_ROWS, 1i64..40), 1..4),
+        ) {
+            let (mgr, t) = setup();
+            main_part_of(&mgr, &t, PROP_ROWS);
+            let id = hana_common::ColumnId(0);
+            let amount = hana_common::ColumnId(2);
+            let reader = mgr.begin(IsolationLevel::Transaction);
+            let mut open = Vec::new();
+            let mut marks = Vec::new();
+            for op in &ops {
+                match *op {
+                    StampOp::Delete(k) | StampOp::Update(k) => {
+                        let mut txn = mgr.begin(IsolationLevel::Transaction);
+                        let done = if matches!(op, StampOp::Delete(_)) {
+                            t.delete_where(&txn, id, &Value::Int(k)).is_ok()
+                        } else {
+                            t.update_where(&txn, id, &Value::Int(k), &[(amount, Value::double(-1.0))])
+                                .is_ok()
+                        };
+                        if done {
+                            txn.commit().unwrap();
+                        } else {
+                            txn.abort().unwrap();
+                        }
+                        t.finish_txn(txn.id());
+                    }
+                    StampOp::OpenDelete(k) => {
+                        let txn = mgr.begin(IsolationLevel::Transaction);
+                        let _ = t.delete_where(&txn, id, &Value::Int(k));
+                        open.push(txn);
+                    }
+                    StampOp::OwnDelete(k) => {
+                        let _ = t.delete_where(&reader, id, &Value::Int(k));
+                    }
+                    StampOp::OwnUpdate(k) => {
+                        let _ = t.update_where(&reader, id, &Value::Int(k), &[(amount, Value::double(-2.0))]);
+                    }
+                    StampOp::Mark => marks.push(mgr.now()),
+                }
+            }
+            // Probe every id an op touched as well as the random ones.
+            let ids: Vec<i64> = ops
+                .iter()
+                .filter_map(|op| match *op {
+                    StampOp::Delete(k)
+                    | StampOp::Update(k)
+                    | StampOp::OpenDelete(k)
+                    | StampOp::OwnDelete(k)
+                    | StampOp::OwnUpdate(k) => Some(k),
+                    StampOp::Mark => None,
+                })
+                .chain(ids)
+                .collect();
+            let outsider = mgr.begin(IsolationLevel::Transaction);
+            let snaps: Vec<Snapshot> = [reader.read_snapshot(), outsider.read_snapshot()]
+                .into_iter()
+                .chain(marks.into_iter().map(Snapshot::at))
+                .collect();
+            for snap in snaps {
+                // Point and range answers first: a full scan caches bitmaps
+                // that later statements at this snapshot would reuse.
+                let read = t.read_at(snap);
+                let points: Vec<_> = ids
+                    .iter()
+                    .map(|&k| sorted(read.point(0, &Value::Int(k)).unwrap()))
+                    .collect();
+                // Single-hit lookups never build a bitmap.
+                assert_eq!(read.vis_cache_stats().1, 0);
+                let buckets: Vec<_> = ["even", "odd"]
+                    .iter()
+                    .map(|c| sorted(read.point(1, &Value::str(*c)).unwrap()))
+                    .collect();
+                let ranges: Vec<_> = spans
+                    .iter()
+                    .map(|&(lo, w)| {
+                        let (lo, hi) = (Value::Int(lo), Value::Int(lo + w));
+                        sorted(read.range(0, Bound::Included(&lo), Bound::Excluded(&hi)).unwrap())
+                    })
+                    .collect();
+                let all = t.read_at(snap).collect_rows();
+                let expect = |keep: &dyn Fn(&[Value]) -> bool| {
+                    sorted(all.iter().filter(|r| keep(&r.values)).map(|r| r.values.clone()))
+                };
+                for (&k, got) in ids.iter().zip(&points) {
+                    assert_eq!(got, &expect(&|r| r[0] == Value::Int(k)), "point id {k} at {snap:?}");
+                }
+                for (c, got) in ["even", "odd"].iter().zip(&buckets) {
+                    assert_eq!(got, &expect(&|r| r[1] == Value::str(*c)), "point city {c} at {snap:?}");
+                }
+                for (&(lo, w), got) in spans.iter().zip(&ranges) {
+                    let inside = |r: &[Value]| r[0] >= Value::Int(lo) && r[0] < Value::Int(lo + w);
+                    assert_eq!(got, &expect(&inside), "range [{lo}, {}) at {snap:?}", lo + w);
+                }
+            }
+        }
     }
 }
