@@ -134,15 +134,13 @@ impl Database {
 
     /// Open a durable database whose physical I/O runs through the given
     /// [`FaultInjector`] (the crash-everywhere harness arms it to kill the
-    /// instance at an exact I/O operation). Recovery itself reads without
-    /// injection; only the reopened instance's writes are subject to it.
+    /// instance at an exact I/O operation). Recovery is the one pass
+    /// [`Persistence::open_with_injector`] makes, so its page reads go
+    /// through the injector too.
     pub fn open_with_injector(dir: &Path, injector: Arc<FaultInjector>) -> Result<Arc<Self>> {
-        let recovered = Persistence::recover(dir)?;
-        let persist = Arc::new(Persistence::open_with_injector(
-            dir,
-            DEFAULT_PAGE_SIZE,
-            injector,
-        )?);
+        let (persist, recovered) =
+            Persistence::open_with_injector(dir, DEFAULT_PAGE_SIZE, injector)?;
+        let persist = Arc::new(persist);
         let mgr = TxnManager::new();
         mgr.advance_clock_to(recovered.clock);
 
@@ -1075,7 +1073,7 @@ mod tests {
             let db = Database::open(dir.path()).unwrap();
             db.create_table(schema(), TableConfig::small()).unwrap();
         }
-        let recovered = Persistence::recover(dir.path()).unwrap();
+        let recovered = Persistence::open(dir.path()).unwrap().1;
         let created: Vec<_> = recovered
             .log_records
             .iter()
@@ -1091,7 +1089,7 @@ mod tests {
             let db = Database::open(dir.path()).unwrap();
             db.savepoint().unwrap();
         }
-        let recovered = Persistence::recover(dir.path()).unwrap();
+        let recovered = Persistence::open(dir.path()).unwrap().1;
         assert_eq!(recovered.images.len(), 1);
         assert_eq!(recovered.images[0].schema.name, "accounts");
         assert_eq!(recovered.images[0].config.partition, None);

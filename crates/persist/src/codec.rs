@@ -1,4 +1,4 @@
-//! A small, self-contained binary codec with CRC32 framing.
+//! A small, self-contained binary codec.
 //!
 //! Everything persisted (log records, savepoint images, manifests) goes
 //! through [`Encoder`]/[`Decoder`]: little-endian fixed-width integers,
@@ -6,32 +6,6 @@
 //! serialization dependency — the format is explicit and versionable.
 
 use hana_common::{DataType, HanaError, Result, Value};
-
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Table generated lazily once.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// Append-only binary writer.
 #[derive(Debug, Default)]
@@ -308,13 +282,5 @@ mod tests {
         assert!(d.value().is_err());
         let mut d = Decoder::new(&[9]);
         assert!(d.data_type().is_err());
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 }

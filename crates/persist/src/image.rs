@@ -11,7 +11,9 @@
 //! flight at savepoint time resolve through the post-savepoint log replay.
 
 use crate::codec::{Decoder, Encoder};
-use hana_common::{ColumnDef, MergeStrategy, Result, RowId, Schema, TableConfig, Timestamp, Value};
+use hana_common::{
+    ColumnDef, HanaError, MergeStrategy, Result, RowId, Schema, TableConfig, Timestamp, Value,
+};
 
 /// One row version with its stamps.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,7 +208,12 @@ pub fn decode_config(d: &mut Decoder<'_>) -> Result<TableConfig> {
         0 => MergeStrategy::Classic,
         1 => MergeStrategy::ReSorting,
         2 => MergeStrategy::Partial,
-        _ => MergeStrategy::Auto,
+        3 => MergeStrategy::Auto,
+        t => {
+            return Err(HanaError::Persist(format!(
+                "unknown merge strategy tag {t}"
+            )))
+        }
     };
     let active_main_max_fraction = d.f64()?;
     let block_size = d.u64()? as usize;
@@ -484,6 +491,19 @@ mod tests {
         let got = TableImage::decode(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(got, img);
         assert_eq!(got.config.partition.unwrap().of, 8);
+    }
+
+    #[test]
+    fn unknown_merge_strategy_tag_errors() {
+        let mut e = Encoder::new();
+        encode_config(&mut e, &TableConfig::default());
+        let mut bytes = e.into_bytes();
+        bytes[16] = 4; // after l1_max_rows and l2_max_rows
+        let err = decode_config(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown merge strategy tag 4"),
+            "{err}"
+        );
     }
 
     #[test]

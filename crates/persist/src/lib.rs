@@ -52,7 +52,7 @@ pub mod page;
 pub mod store;
 pub mod vfile;
 
-pub use codec::{crc32, Decoder, Encoder};
+pub use codec::{Decoder, Encoder};
 pub use fault::{
     FailureSite, FaultAction, FaultErrorKind, FaultInjector, FaultOutcome, FaultPolicy, Health,
     HealthStats, IoOp, DEFAULT_DEGRADED_THRESHOLD,
@@ -63,7 +63,7 @@ pub use integrity::{
     crc32c, envelope_crc, open_envelope, seal, ArtifactKind, Crc32c, EnvelopeError, IntegrityState,
     IntegrityStats, ENVELOPE_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION,
 };
-pub use log::{LogRecord, LogTail, RedoLog, NO_EPOCH};
-pub use page::{PageFormat, PageId, PageStore, DEFAULT_PAGE_SIZE};
+pub use log::{LogRecord, LogTail, RedoLog};
+pub use page::{PageId, PageStore, DEFAULT_PAGE_SIZE};
 pub use store::{PageAccounting, Persistence, RecoveredState, ScrubTick};
 pub use vfile::VirtualFile;

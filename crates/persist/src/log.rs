@@ -45,7 +45,7 @@
 //! drops writes on most kernels, and appending after a partial frame would
 //! bury every later record behind garbage.
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{Decoder, Encoder};
 use crate::fault::{torn_error, FaultInjector, FaultOutcome, IoOp};
 use crate::image::{decode_config, decode_schema, encode_config, encode_schema};
 use crate::integrity::{envelope_crc, ArtifactKind, IntegrityState};
@@ -58,23 +58,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic of pre-checksum (legacy) log files: frames carry a plain
-/// CRC32 over the payload only. Still readable and appendable — the
-/// migration path for old databases.
-const LOG_MAGIC_V1: [u8; 8] = *b"HANALOG1";
-
-/// Magic of current log files: each frame's CRC32C is salted with the log
-/// epoch and covers the frame length (the [`crate::integrity`] envelope
+/// Magic of a log file: each frame's CRC32C is salted with the log epoch
+/// and covers the frame length (the [`crate::integrity`] envelope
 /// checksum), so a record from another epoch or with a resized payload can
-/// never verify. Rotation always writes this format.
-const LOG_MAGIC_V2: [u8; 8] = *b"HANALOG2";
+/// never verify.
+const LOG_MAGIC: [u8; 8] = *b"HANALOG2";
 
 /// Header bytes: magic + epoch (u64 LE).
 const LOG_HEADER: u64 = 16;
-
-/// Epoch reported for a log whose header is unreadable — never matches a
-/// manifest version, so no record of such a file is ever replayed.
-pub const NO_EPOCH: u64 = u64::MAX;
 
 /// One REDO record.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,7 +278,7 @@ impl LogRecord {
 
 fn header_bytes(epoch: u64) -> [u8; LOG_HEADER as usize] {
     let mut h = [0u8; LOG_HEADER as usize];
-    h[..8].copy_from_slice(&LOG_MAGIC_V2);
+    h[..8].copy_from_slice(&LOG_MAGIC);
     h[8..].copy_from_slice(&epoch.to_le_bytes());
     h
 }
@@ -315,21 +306,16 @@ pub enum LogTail {
     },
 }
 
-/// The per-frame checksum. Legacy files use a plain CRC32 of the payload;
-/// current files use the envelope CRC32C salted with the log epoch (also
-/// covering the frame length).
-fn frame_crc(legacy: bool, epoch: u64, payload: &[u8]) -> u32 {
-    if legacy {
-        crc32(payload)
-    } else {
-        envelope_crc(ArtifactKind::LogRecord, epoch, payload)
-    }
+/// The per-frame checksum: the envelope CRC32C salted with the log epoch
+/// (also covering the frame length).
+fn frame_crc(epoch: u64, payload: &[u8]) -> u32 {
+    envelope_crc(ArtifactKind::LogRecord, epoch, payload)
 }
 
 /// Parse the record region of a log file: the intact records, the byte
 /// length of the valid prefix (relative to the region start), and how the
 /// region ends — distinguishing a clean torn tail from mid-log corruption.
-fn scan_records(data: &[u8], epoch: u64, legacy: bool) -> (Vec<LogRecord>, usize, LogTail) {
+fn scan_records(data: &[u8], epoch: u64) -> (Vec<LogRecord>, usize, LogTail) {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= data.len() {
@@ -340,7 +326,7 @@ fn scan_records(data: &[u8], epoch: u64, legacy: bool) -> (Vec<LogRecord>, usize
             return (out, pos, LogTail::Torn); // incomplete frame
         }
         let payload = &data[pos + 8..pos + 8 + len];
-        if frame_crc(legacy, epoch, payload) != crc {
+        if frame_crc(epoch, payload) != crc {
             let reason = format!("checksum mismatch in complete record frame {}", out.len());
             return (
                 out,
@@ -387,6 +373,48 @@ fn corrupt_log_error(path: &Path, offset: usize, reason: &str) -> HanaError {
     ))
 }
 
+/// A log file as read from disk.
+struct ParsedLog {
+    /// The header's epoch.
+    epoch: u64,
+    /// Every intact record, in order.
+    records: Vec<LogRecord>,
+    /// Byte length of the valid record prefix (a torn tail excluded).
+    valid: usize,
+}
+
+/// Parse a whole log file, header and records. `None` for a file shorter
+/// than a header: new, or torn before its first flush — an empty epoch-0
+/// log either way. A bad magic and a complete frame failing its checksum
+/// are both [`HanaError::Corruption`]; a torn tail is not, and is left out
+/// of `valid`.
+fn parse_log(path: &Path, data: &[u8]) -> Result<Option<ParsedLog>> {
+    if (data.len() as u64) < LOG_HEADER {
+        return Ok(None);
+    }
+    if data[..8] != LOG_MAGIC {
+        // A sized file without the log magic was either damaged or never a
+        // log; both are fail-closed (truncating it could silently discard
+        // committed records).
+        return Err(HanaError::Corruption(format!(
+            "{} is not a REDO log (bad magic)",
+            path.display()
+        )));
+    }
+    let epoch = u64::from_le_bytes([
+        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
+    ]);
+    let (records, valid, tail) = scan_records(&data[LOG_HEADER as usize..], epoch);
+    if let LogTail::Corrupt { offset, reason } = tail {
+        return Err(corrupt_log_error(path, offset, &reason));
+    }
+    Ok(Some(ParsedLog {
+        epoch,
+        records,
+        valid,
+    }))
+}
+
 struct LogInner {
     file: File,
     /// Records framed but not yet flushed. The log owns its buffer (no
@@ -394,10 +422,6 @@ struct LogInner {
     /// [`RedoLog::flush`] — the fault injector sees every byte.
     buf: Vec<u8>,
     epoch: u64,
-    /// True for a pre-checksum (`HANALOG1`) file: appends keep using the
-    /// legacy frame CRC so the file stays self-consistent; the next
-    /// rotation upgrades it to the current format.
-    legacy: bool,
     /// Set after a genuine partial write / failed fsync: the on-disk suffix
     /// is unknowable, so appends and flushes fail until the next rotation.
     wedged: Option<String>,
@@ -414,16 +438,12 @@ pub struct RedoLog {
 impl RedoLog {
     /// Open (or create) the log at `path`.
     pub fn open(path: &Path) -> Result<Self> {
-        Self::open_with_injector(path, FaultInjector::new())
+        Ok(Self::open_full(path, FaultInjector::new(), Arc::new(IntegrityState::new()))?.0)
     }
 
-    /// Open with an explicit fault injector (shared with the rest of the
-    /// persistence instance).
-    pub fn open_with_injector(path: &Path, injector: Arc<FaultInjector>) -> Result<Self> {
-        Self::open_full(path, injector, Arc::new(IntegrityState::new()))
-    }
-
-    /// Open with explicit fault-injection and integrity accounting.
+    /// Open with explicit fault-injection and integrity accounting,
+    /// returning the handle together with every intact record the file
+    /// holds — the one parse recovery replays from.
     ///
     /// A torn tail left by a crash is truncated away here, so post-recovery
     /// appends land after the last intact record instead of behind garbage.
@@ -434,70 +454,49 @@ impl RedoLog {
         path: &Path,
         injector: Arc<FaultInjector>,
         integrity: Arc<IntegrityState>,
-    ) -> Result<Self> {
+    ) -> Result<(Self, Vec<LogRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let len = file.metadata()?.len();
-        let (epoch, legacy) = if len < LOG_HEADER {
-            // New (or torn-at-birth) file: stamp epoch 0. Durable with the
-            // first flush; a crash before that reads back as an empty
-            // epoch-0 log either way.
-            file.set_len(0)?;
-            file.write_all(&header_bytes(0))?;
-            (0, false)
-        } else {
-            let mut hdr = [0u8; LOG_HEADER as usize];
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut hdr)?;
-            let legacy = if hdr[..8] == LOG_MAGIC_V1 {
-                true
-            } else if hdr[..8] == LOG_MAGIC_V2 {
-                false
-            } else {
-                // A sized file without a log magic was either damaged or
-                // never a log; both are fail-closed (truncating it could
-                // silently discard committed records).
-                integrity.note_log_corruption();
-                return Err(HanaError::Corruption(format!(
-                    "{} is not a REDO log (bad magic)",
-                    path.display()
-                )));
-            };
-            let epoch = u64::from_le_bytes([
-                hdr[8], hdr[9], hdr[10], hdr[11], hdr[12], hdr[13], hdr[14], hdr[15],
-            ]);
-            // Truncate a clean torn tail before appending; refuse mid-log
-            // corruption outright.
-            let mut data = Vec::with_capacity((len - LOG_HEADER) as usize);
-            file.read_to_end(&mut data)?;
-            let (records, valid, tail) = scan_records(&data, epoch, legacy);
-            if let LogTail::Corrupt { offset, reason } = tail {
-                integrity.note_log_corruption();
-                return Err(corrupt_log_error(path, offset, &reason));
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let parsed = parse_log(path, &data).inspect_err(|_| integrity.note_log_corruption())?;
+        let (epoch, records) = match parsed {
+            None => {
+                // New (or torn-at-birth) file: stamp epoch 0. Durable with
+                // the first flush; a crash before that reads back as an
+                // empty epoch-0 log either way.
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+                file.write_all(&header_bytes(0))?;
+                (0, Vec::new())
             }
-            integrity.note_log_records_verified(records.len() as u64);
-            if (valid as u64) < len - LOG_HEADER {
-                file.set_len(LOG_HEADER + valid as u64)?;
+            Some(log) => {
+                integrity.note_log_records_verified(log.records.len() as u64);
+                // Truncate a clean torn tail before appending.
+                let end = LOG_HEADER + log.valid as u64;
+                if end < data.len() as u64 {
+                    file.set_len(end)?;
+                }
+                file.seek(SeekFrom::End(0))?;
+                (log.epoch, log.records)
             }
-            file.seek(SeekFrom::End(0))?;
-            (epoch, legacy)
         };
-        Ok(RedoLog {
+        let log = RedoLog {
             path: path.to_path_buf(),
             inner: Mutex::new(LogInner {
                 file,
                 buf: Vec::new(),
                 epoch,
-                legacy,
                 wedged: None,
             }),
             injector,
             integrity,
-        })
+        };
+        Ok((log, records))
     }
 
     /// The fault injector every log operation consults.
@@ -549,7 +548,7 @@ impl RedoLog {
         let mut e = Encoder::new();
         rec.encode(&mut e);
         let payload = e.into_bytes();
-        let crc = frame_crc(inner.legacy, inner.epoch, &payload);
+        let crc = frame_crc(inner.epoch, &payload);
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc.to_le_bytes());
@@ -640,8 +639,7 @@ impl RedoLog {
     /// path hold a half-truncated log. Buffered-but-unflushed records are
     /// discarded (their data is covered by the savepoint images; their
     /// transactions never got a durable outcome). A successful rotation
-    /// also clears the wedged state — and always writes the current
-    /// (checksummed-envelope) format, upgrading a legacy file in place.
+    /// also clears the wedged state.
     pub fn rotate(&self, epoch: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         if let FaultOutcome::Torn { .. } = self.injector.check(IoOp::LogRotate)? {
@@ -657,54 +655,25 @@ impl RedoLog {
         inner.file = file;
         inner.buf.clear();
         inner.epoch = epoch;
-        inner.legacy = false;
         inner.wedged = None;
         Ok(())
     }
 
-    /// Read all intact records from a log file, truncating the view at a
-    /// clean torn tail (the crash-recovery contract) but **failing** with
-    /// [`HanaError::Corruption`] on a complete frame with a bad checksum.
-    /// Epoch-blind — see [`read_all_with_epoch`](Self::read_all_with_epoch)
-    /// for recovery.
+    /// Read all intact records of a log file without opening it for
+    /// append (tests and tools). The parse is the one
+    /// [`open_full`](Self::open_full) runs: a torn tail is cut from the
+    /// view, while a bad magic or a complete frame failing its checksum is
+    /// [`HanaError::Corruption`]. A missing or shorter-than-header file
+    /// reads as empty.
     pub fn read_all(path: &Path) -> Result<Vec<LogRecord>> {
-        Ok(Self::read_all_with_epoch(path)?.1)
-    }
-
-    /// Read a log file's epoch and intact records. A missing or shorter-
-    /// than-header file reads as an empty epoch-0 log (the state a freshly
-    /// created log crashes into); a wrong magic reads as [`NO_EPOCH`] so
-    /// its bytes are never replayed; mid-log corruption (a complete frame
-    /// failing its checksum — impossible for a torn write to produce) is a
-    /// hard [`HanaError::Corruption`]: replaying the prefix would silently
-    /// drop committed transactions.
-    pub fn read_all_with_epoch(path: &Path) -> Result<(u64, Vec<LogRecord>)> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, Vec::new())),
+        let data = match std::fs::read(path) {
+            Ok(data) => data,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e.into()),
-        }
-        if (data.len() as u64) < LOG_HEADER {
-            return Ok((0, Vec::new()));
-        }
-        let legacy = if data[..8] == LOG_MAGIC_V1 {
-            true
-        } else if data[..8] == LOG_MAGIC_V2 {
-            false
-        } else {
-            return Ok((NO_EPOCH, Vec::new()));
         };
-        let epoch = u64::from_le_bytes([
-            data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-        ]);
-        let (records, _, tail) = scan_records(&data[LOG_HEADER as usize..], epoch, legacy);
-        if let LogTail::Corrupt { offset, reason } = tail {
-            return Err(corrupt_log_error(path, offset, &reason));
-        }
-        Ok((epoch, records))
+        Ok(parse_log(path, &data)?
+            .map(|log| log.records)
+            .unwrap_or_default())
     }
 }
 
@@ -906,13 +875,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_log_reads_appends_and_upgrades_on_rotation() {
-        // A pre-checksum (HANALOG1) file keeps working: its records read
-        // back, new appends stay legacy-framed (self-consistent file), and
-        // the next rotation upgrades the format.
+    fn hanalog1_log_is_rejected_as_corruption() {
+        // A log from before the checksummed frames: HANALOG1 header plus a
+        // frame under a plain payload checksum. There is no fallback.
         let dir = tempdir().unwrap();
         let path = dir.path().join("redo.log");
-        // Hand-write a legacy log: HANALOG1 header + legacy-framed record.
         let mut e = Encoder::new();
         sample_records()[3].encode(&mut e);
         let payload = e.into_bytes();
@@ -920,30 +887,23 @@ mod tests {
         raw.extend_from_slice(b"HANALOG1");
         raw.extend_from_slice(&5u64.to_le_bytes()); // epoch 5
         raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw.extend_from_slice(&crc32(&payload).to_le_bytes());
+        raw.extend_from_slice(&0u32.to_le_bytes());
         raw.extend_from_slice(&payload);
         std::fs::write(&path, &raw).unwrap();
 
-        let (epoch, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, 5);
-        assert_eq!(recs, vec![sample_records()[3].clone()]);
-
-        let log = RedoLog::open(&path).unwrap();
-        assert_eq!(log.epoch(), 5);
-        log.append(&sample_records()[4]).unwrap();
-        log.flush().unwrap();
-        let (_, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(recs.len(), 2, "legacy append stays readable");
-
-        log.rotate(6).unwrap();
-        log.append(&sample_records()[3]).unwrap();
-        log.flush().unwrap();
-        drop(log);
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], b"HANALOG2", "rotation upgrades the format");
-        let (epoch, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, 6);
-        assert_eq!(recs.len(), 1);
+        let err = RedoLog::read_all(&path).unwrap_err();
+        assert!(matches!(err, HanaError::Corruption(_)), "{err}");
+        let integrity = Arc::new(IntegrityState::new());
+        let err = RedoLog::open_full(&path, FaultInjector::new(), Arc::clone(&integrity))
+            .err()
+            .unwrap();
+        assert!(matches!(err, HanaError::Corruption(_)), "{err}");
+        assert_eq!(integrity.stats().log_corruptions, 1);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            raw,
+            "the file is left as found"
+        );
     }
 
     #[test]
@@ -959,23 +919,29 @@ mod tests {
         assert_eq!(log.epoch(), 1);
         log.append(&sample_records()[3]).unwrap();
         log.flush().unwrap();
-        let (epoch, got) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(got, vec![sample_records()[3].clone()]);
-        // Reopen picks the rotated epoch back up.
+        assert_eq!(
+            RedoLog::read_all(&path).unwrap(),
+            vec![sample_records()[3].clone()]
+        );
+        // Reopen picks the rotated epoch back up, and hands back the
+        // records it parsed.
         drop(log);
-        let log = RedoLog::open(&path).unwrap();
+        let (log, got) =
+            RedoLog::open_full(&path, FaultInjector::new(), Arc::new(IntegrityState::new()))
+                .unwrap();
         assert_eq!(log.epoch(), 1);
+        assert_eq!(got, vec![sample_records()[3].clone()]);
     }
 
     #[test]
     fn bad_magic_reads_as_no_epoch() {
+        // No epoch is read from a file without the log magic: both the
+        // read-only parse and the open refuse it as corruption.
         let dir = tempdir().unwrap();
         let path = dir.path().join("redo.log");
         std::fs::write(&path, vec![0xABu8; 64]).unwrap();
-        let (epoch, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, NO_EPOCH);
-        assert!(recs.is_empty());
+        let err = RedoLog::read_all(&path).unwrap_err();
+        assert!(matches!(err, HanaError::Corruption(_)), "{err}");
         assert!(RedoLog::open(&path).is_err(), "refuses to append to it");
     }
 

@@ -8,11 +8,12 @@
 //! Every page is wrapped in the checksummed [`integrity`](crate::integrity)
 //! envelope with the **page id as salt**, so a read verifies not only that
 //! the bytes are undamaged (CRC32C) but that they belong to *this* page — a
-//! stale or misdirected read of some other valid page fails too. Pages
-//! written by pre-envelope builds (`[len u32][crc32 u32][payload]`) are
-//! still readable through a legacy fallback keyed off the envelope's magic
-//! byte. A page that fails both formats is **quarantined**: later reads
+//! stale or misdirected read of some other valid page fails too. The
+//! envelope is the only format: a page that fails it — an all-zero page a
+//! lost write left behind included — is **quarantined**, and later reads
 //! fast-fail with [`HanaError::Corruption`] until the page is rewritten.
+//! The one all-zero page that is not damage is a superblock slot no
+//! savepoint has written yet; [`PageStore::read_slot`] reports it absent.
 //!
 //! Every physical operation consults the store's [`FaultInjector`] first, so
 //! the crash-everywhere harness can fail or tear any page write, read, or
@@ -22,7 +23,6 @@
 //! which is how reopening a database reclaims pages orphaned by a crashed
 //! savepoint.
 
-use crate::codec::crc32;
 use crate::fault::{torn_error, FaultInjector, FaultOutcome, IoOp};
 use crate::integrity::{self, ArtifactKind, EnvelopeError, IntegrityState, ENVELOPE_HEADER};
 use hana_common::{HanaError, Result};
@@ -37,24 +37,9 @@ use std::sync::Arc;
 /// Default page size in bytes.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
-/// Pre-envelope per-page header: payload length (u32) + CRC32 (u32). Only
-/// consulted on the legacy read fallback.
-const LEGACY_PAGE_HEADER: usize = 8;
-
 /// Identifier of one page within the store's data file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
-
-/// Which on-disk format a page read verified against. Callers that persist
-/// format-sensitive payloads in a page (the savepoint manifest) use this to
-/// pick the matching payload parser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageFormat {
-    /// The current checksummed envelope (CRC32C, page-id salt).
-    Envelope,
-    /// The pre-envelope `[len u32][crc32 u32][payload]` format.
-    Legacy,
-}
 
 #[derive(Default)]
 struct FreeList {
@@ -94,17 +79,12 @@ pub struct PageStore {
 impl PageStore {
     /// Open (or create) the page file at `path`.
     pub fn open(path: &Path, page_size: usize) -> Result<Self> {
-        Self::open_with_injector(path, page_size, FaultInjector::new())
-    }
-
-    /// Open with an explicit fault injector (shared with the rest of the
-    /// persistence instance).
-    pub fn open_with_injector(
-        path: &Path,
-        page_size: usize,
-        injector: Arc<FaultInjector>,
-    ) -> Result<Self> {
-        Self::open_full(path, page_size, injector, Arc::new(IntegrityState::new()))
+        Self::open_full(
+            path,
+            page_size,
+            FaultInjector::new(),
+            Arc::new(IntegrityState::new()),
+        )
     }
 
     /// Open with explicit fault-injection *and* integrity accounting
@@ -243,17 +223,30 @@ impl PageStore {
         }
     }
 
-    /// Read and verify the payload of `page`. Verification tries the
-    /// checksummed envelope first (salted with the page id), then the
-    /// legacy pre-envelope format; a page valid under neither is
-    /// quarantined and reported as [`HanaError::Corruption`].
+    /// Read and verify the payload of `page` against its envelope (salted
+    /// with the page id). A page that fails is quarantined and reported as
+    /// [`HanaError::Corruption`].
     pub fn read_page(&self, page: PageId) -> Result<Vec<u8>> {
-        Ok(self.read_page_with_format(page)?.0)
+        let buf = self.read_raw(page)?;
+        self.verify(page, &buf)
     }
 
-    /// [`read_page`](Self::read_page), additionally reporting which format
-    /// the page verified against.
-    pub fn read_page_with_format(&self, page: PageId) -> Result<(Vec<u8>, PageFormat)> {
+    /// Read superblock slot `slot` (0 or 1). A slot no savepoint has
+    /// written reads back as all zeros and is `Ok(None)`: absent, neither
+    /// quarantined nor counted as corrupt. Any other bytes must verify
+    /// exactly as [`read_page`](Self::read_page) requires.
+    pub fn read_slot(&self, slot: u64) -> Result<Option<Vec<u8>>> {
+        debug_assert!(slot < 2, "page {slot} is not a superblock slot");
+        let buf = self.read_raw(PageId(slot))?;
+        if buf.iter().all(|&b| b == 0) {
+            return Ok(None);
+        }
+        self.verify(PageId(slot), &buf).map(Some)
+    }
+
+    /// The raw bytes of `page`, after the quarantine check and the fault
+    /// injector have had their say.
+    fn read_raw(&self, page: PageId) -> Result<Vec<u8>> {
         if self.integrity.is_quarantined(page.0) {
             return Err(HanaError::Corruption(format!(
                 "corrupt page {}: quarantined after an earlier checksum failure \
@@ -281,38 +274,24 @@ impl PageStore {
             let byte = (bit as usize / 8) % buf.len();
             buf[byte] ^= 1 << (bit % 8);
         }
-        match integrity::open_envelope(ArtifactKind::Page, page.0, &buf) {
+        Ok(buf)
+    }
+
+    /// Open `page`'s envelope, quarantining the page when it fails.
+    fn verify(&self, page: PageId, buf: &[u8]) -> Result<Vec<u8>> {
+        match integrity::open_envelope(ArtifactKind::Page, page.0, buf) {
             Ok(payload) => {
                 self.integrity.note_page_verified();
-                Ok((payload.to_vec(), PageFormat::Envelope))
+                Ok(payload.to_vec())
             }
-            Err(EnvelopeError::NotEnvelope) => self.read_legacy(page, &buf),
-            Err(EnvelopeError::Corrupt(detail)) => self.fail_corrupt(page, &detail),
+            Err(EnvelopeError::Corrupt(detail)) => {
+                self.integrity.note_page_corrupt(page.0);
+                Err(HanaError::Corruption(format!(
+                    "corrupt page {}: {detail}",
+                    page.0
+                )))
+            }
         }
-    }
-
-    /// Legacy fallback: `[len u32][crc32 u32][payload]` as written by
-    /// pre-envelope builds (the migration path for old databases).
-    fn read_legacy(&self, page: PageId, buf: &[u8]) -> Result<(Vec<u8>, PageFormat)> {
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        let stored_crc = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if len > self.page_size - LEGACY_PAGE_HEADER {
-            return self.fail_corrupt(page, "bad length (neither envelope nor legacy format)");
-        }
-        let payload = &buf[LEGACY_PAGE_HEADER..LEGACY_PAGE_HEADER + len];
-        if crc32(payload) != stored_crc {
-            return self.fail_corrupt(page, "checksum mismatch (legacy format)");
-        }
-        self.integrity.note_page_legacy();
-        Ok((payload.to_vec(), PageFormat::Legacy))
-    }
-
-    fn fail_corrupt(&self, page: PageId, detail: &str) -> Result<(Vec<u8>, PageFormat)> {
-        self.integrity.note_page_corrupt(page.0);
-        Err(HanaError::Corruption(format!(
-            "corrupt page {}: {detail}",
-            page.0
-        )))
     }
 
     /// Flush all dirty pages to stable storage.
@@ -495,22 +474,32 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_page_reads_through_fallback() {
+    fn pre_envelope_page_is_corruption() {
         let dir = tempdir().unwrap();
         let path = dir.path().join("data.pages");
         let page_size = 256usize;
-        // Hand-write a legacy-format page at index 2.
-        let payload = b"written by a pre-envelope build";
-        let mut raw = vec![0u8; page_size * 3];
+        // Page 2 in the old `[len u32][crc u32][payload]` layout (CRC field
+        // left zero), page 3 all zeros as a lost write leaves it. Neither
+        // is an envelope.
+        let payload = b"written before the envelope";
+        let mut raw = vec![0u8; page_size * 4];
         let off = page_size * 2;
         raw[off..off + 4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw[off + 4..off + 8].copy_from_slice(&crc32(payload).to_le_bytes());
         raw[off + 8..off + 8 + payload.len()].copy_from_slice(payload);
         std::fs::write(&path, &raw).unwrap();
         let s = PageStore::open(&path, page_size).unwrap();
-        assert_eq!(s.read_page(PageId(2)).unwrap(), payload);
-        assert_eq!(s.integrity().stats().pages_legacy, 1);
+        for p in [PageId(2), PageId(3)] {
+            let err = s.read_page(p).unwrap_err();
+            assert!(matches!(err, HanaError::Corruption(_)), "{err}");
+            assert!(s.integrity().is_quarantined(p.0));
+        }
+        assert_eq!(s.integrity().stats().pages_corrupt, 2);
         assert_eq!(s.integrity().stats().pages_verified, 0);
+        // The all-zero superblock slot is the one blank page that is not
+        // damage: it reads absent and stays out of quarantine.
+        assert_eq!(s.read_slot(0).unwrap(), None);
+        assert!(!s.integrity().is_quarantined(0));
+        assert_eq!(s.integrity().stats().pages_corrupt, 2);
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! walks the live pages in the background so bit rot is found while the
 //! redundancy to recover from it still exists.
 //!
+//! Opening reads every durable artifact exactly once: the two superblock
+//! slots, the image blobs of the manifests they hold, and the REDO log. The
+//! handle comes back together with the [`RecoveredState`] that one pass
+//! produced. A slot no savepoint has written yet is *absent*; any other
+//! slot or page that fails its envelope is corrupt.
+//!
 //! Every physical operation flows through one shared [`FaultInjector`], and
 //! every failure is scored by a [`Health`] tracker: repeated consecutive
 //! I/O failures — including detected corruption — flip the instance into
@@ -35,13 +41,13 @@
 //! clear error while reads keep working — until
 //! [`Persistence::clear_degraded`] is called.
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{Decoder, Encoder};
 use crate::fault::{FailureSite, FaultInjector, Health, HealthStats};
 use crate::group::{GroupCommit, LogStats};
 use crate::image::TableImage;
-use crate::integrity::{self, ArtifactKind, EnvelopeError, IntegrityState, IntegrityStats};
-use crate::log::{LogRecord, RedoLog, NO_EPOCH};
-use crate::page::{PageFormat, PageId, PageStore, DEFAULT_PAGE_SIZE};
+use crate::integrity::{self, ArtifactKind, IntegrityState, IntegrityStats};
+use crate::log::{LogRecord, RedoLog};
+use crate::page::{PageId, PageStore, DEFAULT_PAGE_SIZE};
 use crate::vfile::VirtualFile;
 use hana_common::{CommitConfig, GovernorConfig, HanaError, Result, Timestamp};
 use parking_lot::Mutex;
@@ -70,6 +76,7 @@ pub struct RecoveredState {
     pub governor_config: GovernorConfig,
 }
 
+#[derive(Default)]
 struct Manifest {
     version: u64,
     clock: Timestamp,
@@ -93,7 +100,8 @@ pub struct PageAccounting {
 /// Result of one background-scrub batch (see [`Persistence::scrub_tick`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubTick {
-    /// Pages whose checksums were verified (or legacy-verified) this batch.
+    /// Pages read and checked this batch (a never-written superblock slot
+    /// counts as checked: it is absent, not corrupt).
     pub scanned: u64,
     /// Newly detected corrupt artifacts (pages quarantined / blobs failed).
     pub corrupt: u64,
@@ -128,24 +136,32 @@ pub struct Persistence {
 }
 
 impl Persistence {
-    /// Open (or initialize) persistence in `dir` with the default page size.
-    pub fn open(dir: &Path) -> Result<Self> {
+    /// Open (or initialize) persistence in `dir` with the default page
+    /// size, returning the handle and the durable state it recovered.
+    pub fn open(dir: &Path) -> Result<(Self, RecoveredState)> {
         Self::open_with_page_size(dir, DEFAULT_PAGE_SIZE)
     }
 
     /// Open with an explicit page size ("visible page limits of configurable
     /// size").
-    pub fn open_with_page_size(dir: &Path, page_size: usize) -> Result<Self> {
+    pub fn open_with_page_size(dir: &Path, page_size: usize) -> Result<(Self, RecoveredState)> {
         Self::open_with_injector(dir, page_size, FaultInjector::new())
     }
 
     /// Open with an explicit fault injector shared by every physical I/O
     /// site of this instance (the crash-everywhere harness's entry point).
+    ///
+    /// Recovery is this one pass: it picks the newest *recoverable*
+    /// manifest (manifest page, parse, and every image blob all verify), so
+    /// a damaged newest savepoint falls back to the previous one. A corrupt
+    /// log (a complete frame failing its checksum, or a bad magic) and a
+    /// lost manifest chain both surface as [`HanaError::Corruption`] —
+    /// recovery never serves damaged state.
     pub fn open_with_injector(
         dir: &Path,
         page_size: usize,
         injector: Arc<FaultInjector>,
-    ) -> Result<Self> {
+    ) -> Result<(Self, RecoveredState)> {
         std::fs::create_dir_all(dir)?;
         let integrity = Arc::new(IntegrityState::new());
         let pages = PageStore::open_full(
@@ -154,14 +170,14 @@ impl Persistence {
             Arc::clone(&injector),
             Arc::clone(&integrity),
         )?;
-        let log = RedoLog::open_full(
+        let (log, records) = RedoLog::open_full(
             &dir.join("redo.log"),
             Arc::clone(&injector),
             Arc::clone(&integrity),
         )?;
         let (best, saw_corruption) = read_best_valid_manifest(&pages);
-        let state = match best {
-            Some(l) => (l.manifest.version, l.manifest.files),
+        let LoadedManifest { manifest, images } = match best {
+            Some(l) => l,
             None => {
                 // A log rotated past epoch 0 proves a savepoint once
                 // published a manifest. If no slot is recoverable now, the
@@ -181,21 +197,24 @@ impl Persistence {
                         log.epoch()
                     )));
                 }
-                (0, Vec::new())
+                LoadedManifest::default()
             }
         };
-        // Reconcile the log epoch with the recovered manifest. A crash
-        // between the superblock flip and the log rotation leaves a
+        // Replay only a log whose epoch matches the manifest it extends. A
+        // crash between the superblock flip and the log rotation leaves a
         // stale-epoch log whose rows the images already contain; rotating
         // here discards it before any new record could land behind them.
-        if log.epoch() != state.0 {
-            log.rotate(state.0)?;
-        }
+        let log_records = if log.epoch() == manifest.version {
+            records
+        } else {
+            log.rotate(manifest.version)?;
+            Vec::new()
+        };
         // Reconstruct the free list: every allocated page the live manifest
         // does not reference is reclaimable. This is what un-leaks pages a
         // crashed savepoint had allocated for images it never published.
         let mut live: FxHashSet<u64> = FxHashSet::default();
-        for f in &state.1 {
+        for f in &manifest.files {
             for p in &f.pages {
                 live.insert(p.0);
             }
@@ -205,7 +224,15 @@ impl Persistence {
             .map(PageId)
             .collect();
         pages.reset_free_list(free);
-        Ok(Persistence {
+        let recovered = RecoveredState {
+            clock: manifest.clock,
+            savepoint_version: manifest.version,
+            images,
+            log_records,
+            commit_config: manifest.commit_config,
+            governor_config: manifest.governor_config,
+        };
+        let persist = Persistence {
             pages,
             log,
             group: GroupCommit::new(),
@@ -213,8 +240,9 @@ impl Persistence {
             injector,
             integrity,
             scrub: Mutex::new(ScrubCursor::default()),
-            state: Mutex::new(state),
-        })
+            state: Mutex::new((manifest.version, manifest.files)),
+        };
+        Ok((persist, recovered))
     }
 
     /// The REDO log handle.
@@ -275,8 +303,9 @@ impl Persistence {
     /// instance to read-only instead of going unnoticed; already-quarantined
     /// pages are skipped so one bad page is scored once, not every pass.
     /// Each completed pass additionally re-verifies one live table-image
-    /// blob end-to-end (round-robin). Transient I/O errors are not the
-    /// scrub's business and are ignored here.
+    /// blob end-to-end (round-robin). A never-written superblock slot is
+    /// absent, not corrupt. Transient I/O errors ([`HanaError::Io`]) are
+    /// not the scrub's business and are ignored here.
     pub fn scrub_tick(&self, max_pages: usize) -> ScrubTick {
         let (version, targets, files) = {
             let state = self.state.lock();
@@ -301,8 +330,13 @@ impl Persistence {
                 continue; // known-bad: counted when first detected
             }
             tick.scanned += 1;
-            match self.pages.read_page(p) {
-                Ok(_) => {}
+            let read = if p.0 < 2 {
+                self.pages.read_slot(p.0).map(drop)
+            } else {
+                self.pages.read_page(p).map(drop)
+            };
+            match read {
+                Ok(()) => {}
                 Err(e @ HanaError::Corruption(_)) => {
                     tick.corrupt += 1;
                     self.health.record_failure(FailureSite::Scrub, &e);
@@ -313,18 +347,14 @@ impl Persistence {
         if tick.completed_pass && !files.is_empty() {
             let i = cursor.blob_rr % files.len();
             cursor.blob_rr = cursor.blob_rr.wrapping_add(1);
+            // Only an I/O error is transient; a quarantined page or a
+            // length mismatch on a live blob is damage like a bad checksum.
             let intact = match files[i].read(&self.pages) {
                 Ok(blob) => {
-                    match integrity::open_envelope(ArtifactKind::TableImage, version, &blob) {
-                        Ok(_) => true,
-                        // A legacy (pre-checksum) blob has no envelope to
-                        // check; its pages were still verified above.
-                        Err(EnvelopeError::NotEnvelope) => true,
-                        Err(EnvelopeError::Corrupt(_)) => false,
-                    }
+                    integrity::open_envelope(ArtifactKind::TableImage, version, &blob).is_ok()
                 }
-                Err(HanaError::Corruption(_)) => false,
-                Err(_) => true,
+                Err(HanaError::Io(_)) => true,
+                Err(_) => false,
             };
             if !intact {
                 tick.corrupt += 1;
@@ -541,76 +571,6 @@ impl Persistence {
         release_all(&prev_files);
         Ok(version)
     }
-
-    /// Recover the durable state from `dir`.
-    pub fn recover(dir: &Path) -> Result<RecoveredState> {
-        Self::recover_with_page_size(dir, DEFAULT_PAGE_SIZE)
-    }
-
-    /// Recover with an explicit page size.
-    ///
-    /// Picks the newest *recoverable* manifest (manifest page, parse, and
-    /// every image blob all verify), so a damaged newest savepoint falls
-    /// back to the previous one. A corrupt log (a complete frame failing
-    /// its checksum) and a lost manifest chain both surface as
-    /// [`HanaError::Corruption`] — recovery never serves damaged state.
-    pub fn recover_with_page_size(dir: &Path, page_size: usize) -> Result<RecoveredState> {
-        let pages_path = dir.join("data.pages");
-        let (best, saw_corruption) = if pages_path.exists() {
-            let pages = PageStore::open(&pages_path, page_size)?;
-            read_best_valid_manifest(&pages)
-        } else {
-            (None, false)
-        };
-        let (epoch, records) = RedoLog::read_all_with_epoch(&dir.join("redo.log"))?;
-        match best {
-            Some(l) => {
-                // Replay only a log whose epoch matches the manifest it
-                // extends (a stale or newer-epoch log must not be replayed
-                // onto images that don't pair with it).
-                let log_records = if epoch == l.manifest.version {
-                    records
-                } else {
-                    Vec::new()
-                };
-                Ok(RecoveredState {
-                    clock: l.manifest.clock,
-                    savepoint_version: l.manifest.version,
-                    images: l.images,
-                    log_records,
-                    commit_config: l.manifest.commit_config,
-                    governor_config: l.manifest.governor_config,
-                })
-            }
-            None => {
-                // See `open_with_injector`: an epoch past 0 proves a
-                // savepoint once published; with every slot unrecoverable
-                // the authoritative state is lost. (NO_EPOCH — a garbage
-                // header — keeps its long-standing "ignore the file"
-                // semantics.)
-                if epoch != 0 && epoch != NO_EPOCH {
-                    return Err(HanaError::Corruption(format!(
-                        "no recoverable savepoint manifest{} but the REDO log is at \
-                         epoch {epoch} — refusing to recover as an empty database",
-                        if saw_corruption {
-                            " (superblock or table-image checksum failures)"
-                        } else {
-                            ""
-                        }
-                    )));
-                }
-                let log_records = if epoch == 0 { records } else { Vec::new() };
-                Ok(RecoveredState {
-                    clock: 0,
-                    savepoint_version: 0,
-                    images: Vec::new(),
-                    log_records,
-                    commit_config: CommitConfig::default(),
-                    governor_config: GovernorConfig::default(),
-                })
-            }
-        }
-    }
 }
 
 fn encode_commit_config(e: &mut Encoder, c: &CommitConfig) {
@@ -646,7 +606,9 @@ fn decode_governor_config(d: &mut Decoder<'_>) -> Result<GovernorConfig> {
 }
 
 /// A manifest that proved fully recoverable: its page verified, it parsed,
-/// and every image blob it references verified and decoded.
+/// and every image blob it references verified and decoded. The default is
+/// the empty state of a database no savepoint has written.
+#[derive(Default)]
 struct LoadedManifest {
     manifest: Manifest,
     images: Vec<TableImage>,
@@ -655,8 +617,8 @@ struct LoadedManifest {
 /// What one superblock slot holds.
 enum Slot {
     Valid(Box<LoadedManifest>),
-    /// Never written, or a torn write that never became a manifest — the
-    /// normal state of the inactive slot.
+    /// Never written (all zeros, or past the end of the file) — the state
+    /// of the second slot until the second savepoint.
     Absent,
     /// Checksummed bytes that no longer verify: bit rot, not a tear.
     Corrupt,
@@ -687,8 +649,9 @@ fn parse_manifest(payload: &[u8]) -> Option<Manifest> {
 /// the fail-closed rule and the fallback both hinge on.
 fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
     let integrity = pages.integrity();
-    let (payload, format) = match pages.read_page_with_format(PageId(slot)) {
-        Ok(p) => p,
+    let payload = match pages.read_slot(slot) {
+        Ok(Some(p)) => p,
+        Ok(None) => return Slot::Absent,
         Err(HanaError::Corruption(_)) => {
             integrity.note_manifest_corrupt();
             return Slot::Corrupt;
@@ -696,37 +659,12 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
         // Short file / transient I/O: the slot was never written.
         Err(_) => return Slot::Absent,
     };
-    let manifest = match format {
-        // A verified envelope page holds the manifest bytes directly (the
-        // slot is the page id, so the page checksum already binds them).
-        PageFormat::Envelope => match parse_manifest(&payload) {
-            Some(m) => m,
-            None => {
-                // Verified bytes that don't parse: the damage predates the
-                // checksum, i.e. the writer's bytes were already wrong.
-                integrity.note_manifest_corrupt();
-                return Slot::Corrupt;
-            }
-        },
-        // A legacy page wraps the manifest in the pre-envelope
-        // `[crc32][payload]` framing. That format cannot distinguish rot
-        // from a tear, so any failure stays Absent — exactly the
-        // pre-checksum behaviour.
-        PageFormat::Legacy => {
-            let parsed = (|| {
-                let mut d = Decoder::new(&payload);
-                let stored_crc = d.u32().ok()?;
-                let inner = d.bytes().ok()?;
-                if crc32(inner) != stored_crc {
-                    return None;
-                }
-                parse_manifest(inner)
-            })();
-            match parsed {
-                Some(m) => m,
-                None => return Slot::Absent,
-            }
-        }
+    // The verified page holds the manifest bytes directly (the slot is the
+    // page id, so the page checksum already binds them). Verified bytes
+    // that don't parse were wrong before the checksum was taken.
+    let Some(manifest) = parse_manifest(&payload) else {
+        integrity.note_manifest_corrupt();
+        return Slot::Corrupt;
     };
     // A manifest is only as good as the images it points at: the savepoint
     // is recoverable iff every blob verifies and decodes.
@@ -736,34 +674,14 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
             Ok(b) => b,
             Err(_) => return Slot::Corrupt,
         };
-        let img = match integrity::open_envelope(ArtifactKind::TableImage, manifest.version, &blob)
-        {
-            Ok(payload) => match TableImage::decode(&mut Decoder::new(payload)) {
-                Ok(img) => {
-                    integrity.note_image_verified();
-                    img
-                }
-                Err(_) => {
-                    integrity.note_image_corrupt();
-                    return Slot::Corrupt;
-                }
-            },
-            // Legacy raw blob from a pre-checksum savepoint.
-            Err(EnvelopeError::NotEnvelope) => match TableImage::decode(&mut Decoder::new(&blob)) {
-                Ok(img) => {
-                    integrity.note_image_legacy();
-                    img
-                }
-                Err(_) => {
-                    integrity.note_image_corrupt();
-                    return Slot::Corrupt;
-                }
-            },
-            Err(EnvelopeError::Corrupt(_)) => {
-                integrity.note_image_corrupt();
-                return Slot::Corrupt;
-            }
+        let img = integrity::open_envelope(ArtifactKind::TableImage, manifest.version, &blob)
+            .ok()
+            .and_then(|payload| TableImage::decode(&mut Decoder::new(payload)).ok());
+        let Some(img) = img else {
+            integrity.note_image_corrupt();
+            return Slot::Corrupt;
         };
+        integrity.note_image_verified();
         images.push(img);
     }
     Slot::Valid(Box::new(LoadedManifest { manifest, images }))
@@ -845,7 +763,7 @@ mod tests {
     #[test]
     fn savepoint_then_recover() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.log()
             .append(&LogRecord::Commit {
                 txn: TxnId(1),
@@ -875,7 +793,7 @@ mod tests {
             .unwrap();
         p.log().flush().unwrap();
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.savepoint_version, 1);
         assert_eq!(rec.clock, 10);
         assert_eq!(rec.images.len(), 1);
@@ -887,25 +805,27 @@ mod tests {
     #[test]
     fn commit_config_round_trips_through_manifest() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         let cfg = CommitConfig::serial()
             .with_max_batch(17)
             .with_max_wait_us(250);
         p.savepoint(3, &cfg, &GovernorConfig::default(), &[image("t", 1)])
             .unwrap();
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.commit_config, cfg);
         // No savepoint ⇒ defaults.
         let dir2 = tempdir().unwrap();
-        let rec2 = Persistence::recover_with_page_size(dir2.path(), 256).unwrap();
+        let rec2 = Persistence::open_with_page_size(dir2.path(), 256)
+            .unwrap()
+            .1;
         assert_eq!(rec2.commit_config, CommitConfig::default());
     }
 
     #[test]
     fn governor_config_round_trips_through_manifest() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         let gov = GovernorConfig::default()
             .with_max_concurrent_scans(7)
             .with_scan_queue_timeout_ms(321)
@@ -914,11 +834,13 @@ mod tests {
         p.savepoint(3, &CommitConfig::default(), &gov, &[image("t", 1)])
             .unwrap();
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.governor_config, gov);
         // A disabled governor survives the round trip too.
         let dir2 = tempdir().unwrap();
-        let p2 = Persistence::open_with_page_size(dir2.path(), 256).unwrap();
+        let p2 = Persistence::open_with_page_size(dir2.path(), 256)
+            .unwrap()
+            .0;
         p2.savepoint(
             1,
             &CommitConfig::default(),
@@ -927,18 +849,22 @@ mod tests {
         )
         .unwrap();
         drop(p2);
-        let rec2 = Persistence::recover_with_page_size(dir2.path(), 256).unwrap();
+        let rec2 = Persistence::open_with_page_size(dir2.path(), 256)
+            .unwrap()
+            .1;
         assert_eq!(rec2.governor_config, GovernorConfig::disabled());
         // No savepoint ⇒ defaults.
         let dir3 = tempdir().unwrap();
-        let rec3 = Persistence::recover_with_page_size(dir3.path(), 256).unwrap();
+        let rec3 = Persistence::open_with_page_size(dir3.path(), 256)
+            .unwrap()
+            .1;
         assert_eq!(rec3.governor_config, GovernorConfig::default());
     }
 
     #[test]
     fn recover_empty_directory() {
         let dir = tempdir().unwrap();
-        let rec = Persistence::recover(dir.path()).unwrap();
+        let rec = Persistence::open(dir.path()).unwrap().1;
         assert_eq!(rec.savepoint_version, 0);
         assert!(rec.images.is_empty());
         assert!(rec.log_records.is_empty());
@@ -947,7 +873,7 @@ mod tests {
     #[test]
     fn successive_savepoints_alternate_and_supersede() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -972,7 +898,7 @@ mod tests {
             .unwrap();
         assert_eq!(v3, 3);
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.savepoint_version, 3);
         assert_eq!(rec.clock, 12);
         assert_eq!(rec.images[0].l1_rows.len(), 30);
@@ -983,7 +909,7 @@ mod tests {
         // Simulate: savepoint 1 completes; then new image pages are written
         // but the superblock never flips (crash). Recovery must see v1.
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -995,7 +921,7 @@ mod tests {
         let orphan = VirtualFile::write(p.pages(), &vec![9u8; 600]).unwrap();
         let _ = orphan;
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.savepoint_version, 1);
         assert_eq!(rec.images[0].l1_rows.len(), 10);
     }
@@ -1005,7 +931,7 @@ mod tests {
         // Pages a crashed savepoint allocated but never published must be
         // reusable after reopen: allocated == 2 + free + live.
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -1015,7 +941,7 @@ mod tests {
         .unwrap();
         let _orphan = VirtualFile::write(p.pages(), &vec![9u8; 2000]).unwrap();
         drop(p);
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         let acc = p.page_accounting();
         assert_eq!(
             acc.allocated,
@@ -1028,7 +954,7 @@ mod tests {
     #[test]
     fn failed_savepoint_releases_pages_and_keeps_old_manifest() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -1070,7 +996,7 @@ mod tests {
             .unwrap();
         assert_eq!(v, 2);
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.savepoint_version, 2);
         assert_eq!(rec.images[0].l1_rows.len(), 50);
     }
@@ -1081,7 +1007,7 @@ mod tests {
         // old log (epoch 0) still holds records whose rows v1's images
         // already contain. Replaying them would duplicate the rows.
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.log()
             .append(&LogRecord::Commit {
                 txn: TxnId(1),
@@ -1109,14 +1035,14 @@ mod tests {
             .append_record(&LogRecord::Abort { txn: TxnId(9) })
             .is_err());
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.savepoint_version, 1, "manifest v1 is durable");
         assert!(
             rec.log_records.is_empty(),
             "stale epoch-0 records must not replay onto v1 images"
         );
         // Reopening reconciles: the log is rotated to the manifest's epoch.
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         assert_eq!(p.log().epoch(), 1);
         assert!(!p.log().is_wedged());
     }
@@ -1124,7 +1050,7 @@ mod tests {
     #[test]
     fn repeated_io_failures_flip_read_only_degraded_mode() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.injector()
             .arm(FaultPolicy::fail_nth(IoOp::PageWrite, 0, FaultErrorKind::Eio).persistent());
         for i in 0..3 {
@@ -1181,7 +1107,7 @@ mod tests {
     #[test]
     fn corrupt_newest_superblock_falls_back() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -1204,7 +1130,7 @@ mod tests {
             *b ^= 0xFF;
         }
         std::fs::write(&path, &raw).unwrap();
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         // Falls back to version 1.
         assert_eq!(rec.savepoint_version, 1);
         assert_eq!(rec.images[0].l1_rows.len(), 10);
@@ -1213,7 +1139,7 @@ mod tests {
     #[test]
     fn multiple_tables_per_savepoint() {
         let dir = tempdir().unwrap();
-        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap().0;
         p.savepoint(
             5,
             &CommitConfig::default(),
@@ -1222,7 +1148,7 @@ mod tests {
         )
         .unwrap();
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        let rec = Persistence::open_with_page_size(dir.path(), 256).unwrap().1;
         assert_eq!(rec.images.len(), 2);
         assert_eq!(rec.images[0].schema.name, "a");
         assert_eq!(rec.images[1].l1_rows.len(), 7);

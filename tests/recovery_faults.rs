@@ -1,11 +1,14 @@
 //! Durability and failure injection: savepoints, torn logs, corrupt pages,
 //! crash-points around the savepoint protocol.
 
-use hana_common::{ColumnDef, ColumnId, DataType, Schema, TableConfig, Value};
+use hana_common::{
+    ColumnDef, ColumnId, CommitConfig, DataType, GovernorConfig, HanaError, Schema, TableConfig,
+    Value,
+};
 use hana_core::Database;
-use hana_persist::{FaultErrorKind, FaultPolicy, IoOp};
+use hana_persist::{Encoder, FaultErrorKind, FaultPolicy, IoOp, DEFAULT_PAGE_SIZE};
 use hana_txn::IsolationLevel;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -378,4 +381,156 @@ fn scrub_detected_corruption_degrades_to_read_only() {
     drop(db);
     let db = Database::open(dir.path()).unwrap();
     assert_eq!(count(&db), 35, "no committed data lost across the episode");
+}
+
+/// A lost write leaves a live image page all zeros. That is corruption
+/// wherever it is read: one scrub pass reports and quarantines it, and a
+/// reopen that depends on it fails closed. The superblock slot no savepoint
+/// has written is all zeros too, but it is *absent*: a healthy database
+/// scrubs clean.
+#[test]
+fn scrub_flags_zeroed_live_page_and_blank_slot_stays_absent() {
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let db = Database::open(dir.path()).unwrap();
+        let t = db.create_table(schema(), TableConfig::small()).unwrap();
+        insert(&db, &t, 0, 30);
+        // Version 1 lands in slot 1; slot 0 is never written.
+        assert_eq!(db.savepoint().unwrap(), 1);
+    }
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(count(&db), 30);
+    let p = Arc::clone(db.persistence().unwrap());
+    for _ in 0..2 {
+        let tick = p.scrub_tick(1_024);
+        assert!(tick.completed_pass, "{tick:?}");
+        assert_eq!(tick.corrupt, 0, "{tick:?}");
+    }
+    let stats = db.integrity_stats().unwrap();
+    assert_eq!(stats.pages_corrupt, 0, "{stats:?}");
+    assert_eq!(stats.pages_quarantined, 0, "{stats:?}");
+    assert_eq!(stats.manifests_corrupt, 0, "{stats:?}");
+
+    let victim = p.live_page_ids()[0];
+    {
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.path().join("data.pages"))
+            .unwrap();
+        f.seek(SeekFrom::Start(victim * DEFAULT_PAGE_SIZE as u64))
+            .unwrap();
+        f.write_all(&vec![0u8; DEFAULT_PAGE_SIZE]).unwrap();
+        f.sync_all().unwrap();
+    }
+    let tick = p.scrub_tick(1_024);
+    assert!(tick.completed_pass, "{tick:?}");
+    assert!(
+        tick.corrupt >= 1,
+        "zeroed live page went unnoticed: {tick:?}"
+    );
+    assert!(p.integrity().is_quarantined(victim));
+    drop(p);
+    drop(db);
+    match Database::open(dir.path()) {
+        Ok(_) => panic!("the only savepoint references a zeroed page"),
+        Err(HanaError::Corruption(_)) => {}
+        Err(e) => panic!("expected HanaError::Corruption, got {e}"),
+    }
+}
+
+/// CRC-32 (IEEE), the checksum the pre-envelope format framed with.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// One page in the pre-envelope format: `[len u32][crc32 u32][payload]`.
+fn pre_envelope_page(payload: &[u8]) -> Vec<u8> {
+    let mut buf = vec![0u8; DEFAULT_PAGE_SIZE];
+    buf[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
+    buf[8..8 + payload.len()].copy_from_slice(payload);
+    buf
+}
+
+/// Write a database directory in the format used before the integrity
+/// envelope: savepoint version 1 (manifest in `[crc32][bytes]` framing
+/// inside slot 1, an explicit page list, a raw image blob) and an empty
+/// `HANALOG1` log at epoch 1.
+fn build_pre_envelope_dir(dir: &std::path::Path) {
+    let src = Database::in_memory();
+    let t = src.create_table(schema(), TableConfig::small()).unwrap();
+    insert(&src, &t, 0, 10);
+    let mut e = Encoder::new();
+    t.to_image().encode(&mut e);
+    let blob = e.into_bytes();
+    let chunks: Vec<&[u8]> = blob.chunks(DEFAULT_PAGE_SIZE - 8).collect();
+
+    let mut m = Encoder::new();
+    m.u64(1); // version
+    m.u64(1_000); // clock
+    let cc = CommitConfig::default();
+    m.bool(cc.group_commit);
+    m.u64(cc.max_batch as u64);
+    m.u64(cc.max_wait_us);
+    let gc = GovernorConfig::default();
+    m.bool(gc.enabled);
+    m.u64(gc.max_concurrent_scans as u64);
+    m.u64(gc.scan_queue_timeout_ms);
+    m.u64(gc.oltp_p99_budget_us);
+    m.u64(gc.min_scan_parallelism as u64);
+    m.u32(1); // one virtual file
+    m.u64(blob.len() as u64);
+    m.u32(chunks.len() as u32);
+    for i in 0..chunks.len() {
+        m.u64(2 + i as u64);
+    }
+    let manifest = m.into_bytes();
+    let mut framed = Encoder::new();
+    framed.u32(crc32(&manifest));
+    framed.bytes(&manifest);
+
+    let mut pages = vec![0u8; DEFAULT_PAGE_SIZE]; // slot 0: never written
+    pages.extend_from_slice(&pre_envelope_page(&framed.into_bytes()));
+    for c in &chunks {
+        pages.extend_from_slice(&pre_envelope_page(c));
+    }
+    std::fs::write(dir.join("data.pages"), &pages).unwrap();
+    let mut log = b"HANALOG1".to_vec();
+    log.extend_from_slice(&1u64.to_le_bytes());
+    std::fs::write(dir.join("redo.log"), &log).unwrap();
+}
+
+/// There is one on-disk format. A directory in the format used before the
+/// integrity envelope must fail closed with `HanaError::Corruption` — never
+/// open as an empty database — whichever of its artifacts is read first.
+#[test]
+fn pre_envelope_directory_fails_closed() {
+    let expect_corruption = |dir: &std::path::Path, cause: &str| match Database::open(dir) {
+        Ok(db) => panic!(
+            "opened with {} tables instead of failing closed on {cause}",
+            db.tables().len()
+        ),
+        Err(HanaError::Corruption(m)) => assert!(m.contains(cause), "{m}"),
+        Err(e) => panic!("expected HanaError::Corruption, got {e}"),
+    };
+    let dir = tempfile::tempdir().unwrap();
+    build_pre_envelope_dir(dir.path());
+    expect_corruption(dir.path(), "bad magic");
+    // With a current-format log at the same epoch, the superblock itself
+    // must refuse: its slot is not an envelope, so no savepoint survives.
+    let mut log = b"HANALOG2".to_vec();
+    log.extend_from_slice(&1u64.to_le_bytes());
+    std::fs::write(dir.path().join("redo.log"), &log).unwrap();
+    expect_corruption(dir.path(), "no recoverable savepoint manifest");
 }
